@@ -235,17 +235,20 @@ def pattern_residual(pattern: AsymptoticPattern) -> float:
     d, c, P = pattern.degree, pattern.continuity, pattern.period
     space, shapes = _shape_space(d, c, P)
     T = space.expanded
-    worst = 0.0
+    funcs, xs, ws = [], [], []
     for i in shapes:
         lo, hi = T[i], T[i + d + 1]
-        xs, ws = pattern.positions_in(lo - P, hi + P)
-        q = 0.0
-        for x, w in zip(xs, ws):
-            if lo <= x <= hi:
-                q += w * basis.value_of(space, i, x)
-        defect = q - (hi - lo) / (d + 1)
-        worst = max(worst, abs(defect))
-    return worst
+        px, pw = pattern.positions_in(lo - P, hi + P)
+        inside = (lo <= px) & (px <= hi)
+        funcs += [i] * int(inside.sum())
+        xs.append(px[inside])
+        ws.append(pw[inside])
+    values, _ = basis.evaluate_functions(space, funcs, np.concatenate(xs))
+    q = np.zeros(space.dimension)
+    np.add.at(q, funcs, np.concatenate(ws) * values)
+    shapes = np.asarray(shapes)
+    defects = q[shapes] - (T[shapes + d + 1] - T[shapes]) / (d + 1)
+    return float(np.abs(defects).max())
 
 
 @dataclass(frozen=True)
@@ -364,6 +367,7 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
             deltas, ws = unpack(th)
             R = np.zeros(len(shapes))
             J = np.zeros((len(shapes), len(th)))
+            hits = []  # (row, function, node, spec) in accumulation order
             for row, i in enumerate(shapes):
                 lo, hi = T[i], T[i + d + 1]
                 R[row] = -(hi - lo) / (d + 1)
@@ -372,19 +376,19 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
                 for k in range(k_lo, k_hi + 1):
                     for sp in specs:
                         x = sp.position(deltas) + period * k
-                        if not lo <= x <= hi:
-                            continue
-                        ev = basis.evaluate(space, x)
-                        j = i - ev.first_index
-                        if not 0 <= j <= d:
-                            continue
-                        val = ev.values[j]
-                        der = ev.derivatives[j]
-                        w = ws[sp.weight]
-                        R[row] += w * val
-                        J[row, n_deltas + sp.weight] += val
-                        if sp.pair >= 0:
-                            J[row, sp.pair] += w * der * sp.dposition()
+                        if lo <= x <= hi:
+                            hits.append((row, i, x, sp))
+            rows, funcs, xs, hit = zip(*hits)
+            rows = np.array(rows)
+            val, der = basis.evaluate_functions(space, funcs, xs)
+            w_idx, pair = np.array([(sp.weight, sp.pair) for sp in hit]).T
+            w = ws[w_idx]
+            dpos = np.array([sp.dposition() for sp in hit])
+            # off-support hits add zeros, which leave every entry unchanged
+            np.add.at(R, rows, w * val)
+            np.add.at(J, (rows, n_deltas + w_idx), val)
+            on = pair >= 0
+            np.add.at(J, (rows[on], pair[on]), (w * der * dpos)[on])
             return R, J
 
         norm = np.inf

@@ -18,6 +18,8 @@ from .knots import SplineSpace
 __all__ = [
     "BasisEvaluation",
     "evaluate",
+    "evaluate_many",
+    "evaluate_functions",
     "integral",
     "integrals",
     "integrals_up_to",
@@ -38,32 +40,76 @@ class BasisEvaluation:
     derivatives: np.ndarray
 
 
-def find_span(knots: np.ndarray, degree: int, u: float) -> int:
-    """Index ``k`` with ``knots[k] <= u < knots[k+1]`` and full local support.
+def _spans(knots: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
+    """Index ``k`` per point with ``knots[k] <= u < knots[k+1]``, full support.
 
     Valid evaluation points lie in ``[knots[degree], knots[n]]`` with
-    ``n = len(knots) - degree - 1``; at the right end of that region the
-    last nonempty span is returned (left-limit convention).
+    ``n = len(knots) - degree - 1``, widened by a relative fuzz of 1e-12;
+    at the right end of that region the last nonempty span is returned
+    (left-limit convention), and repeated knots are skipped.
     """
     d = degree
-    n = len(knots) - d - 1
-    lo_u, hi_u = knots[d], knots[n]
+    lo_u, hi_u = float(knots[d]), float(knots[len(knots) - d - 1])
     fuzz = 1e-12 * max(1.0, abs(hi_u - lo_u))
-    if u < lo_u - fuzz or u > hi_u + fuzz:
+    inside = (xs >= lo_u - fuzz) & (xs <= hi_u + fuzz)
+    if not inside.all():
         raise ValueError(
-            f"evaluation point {u} outside the supported region "
+            f"evaluation point {xs[~inside][0]} outside the supported region "
             f"[{lo_u}, {hi_u}]"
         )
-    if u >= hi_u:
-        k = n
-        while knots[k - 1] == knots[k]:
-            k -= 1
-        return k - 1
-    k = int(np.searchsorted(knots, u, side="right")) - 1
-    k = max(k, d)
-    while knots[k] == knots[k + 1]:  # safety; searchsorted lands past groups
-        k += 1
-    return k
+    # nonempty spans run from the last copy of the left end to the last knot
+    # below the right end; clamping puts fuzzed points and the right end
+    # (left limit) on them and skips past repeated knots
+    first = knots.searchsorted(lo_u, side="right") - 1
+    last = knots.searchsorted(hi_u, side="left") - 1
+    k = knots.searchsorted(xs, side="right") - 1
+    return np.minimum(np.maximum(k, first), last)
+
+
+def evaluate_many(
+    space: SplineSpace, xs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero basis values and first derivatives at every point of ``xs``.
+
+    Returns ``(first, values, derivatives)`` of shapes ``(n,)``,
+    ``(n, d+1)`` and ``(n, d+1)``: row ``p`` belongs to basis functions
+    ``first[p] .. first[p] + d`` at ``xs[p]``.  The triangular recurrence
+    advances all points and all entries of one degree level together, so
+    a call costs O(d) array operations.  Each entry takes the operations of
+    the classic one-point recurrence in the same order, so a row does not
+    depend on the other points of the batch.  Raises ``ValueError`` if any
+    point lies outside the supported region.
+    """
+    d = space.degree
+    T = space.expanded
+    xs = np.asarray(xs, dtype=float)
+    k = _spans(T, d, xs)[:, None]
+    up = np.arange(1, d + 1)
+    ahead = T[k + up]
+    left = xs[:, None] - T[k + 1 - up]  # left[:, j-1] = u - T[k+1-j]
+    right = ahead - xs[:, None]  # right[:, j-1] = T[k+j] - u
+    zero = np.zeros((len(xs), 1))
+
+    # level j holds the degree-j values of functions k-j .. k
+    level = np.ones((len(xs), 1))
+    for j in range(1, d + 1):
+        below = level
+        r_part = right[:, :j]
+        l_part = left[:, j - 1 :: -1]
+        temp = below / (r_part + l_part)
+        level = np.concatenate((zero, l_part * temp), axis=1)
+        level[:, :j] += r_part * temp
+
+    first = k[:, 0] - d
+    if d == 0:
+        return first, level, np.zeros_like(level)
+    # derivative of function k-d+r from the degree d-1 values B:
+    # d * (B_{r-1} / (T[k+r] - T[k-d+r]) - B_r / (T[k+r+1] - T[k-d+r+1])),
+    # a missing B counting as zero; each knot difference spans the nonempty
+    # span [T[k], T[k+1]], so none is zero
+    quot = below / (ahead - T[k - d + up])
+    padded = np.concatenate((zero, quot, zero), axis=1)
+    return first, level, d * (padded[:, :-1] - padded[:, 1:])
 
 
 def evaluate(space: SplineSpace, u: float) -> BasisEvaluation:
@@ -72,56 +118,32 @@ def evaluate(space: SplineSpace, u: float) -> BasisEvaluation:
     Exactly ``degree + 1`` functions are nonzero on the span containing
     ``u``; their values sum to one and their derivatives sum to zero.
     """
-    d = space.degree
-    T = space.expanded
-    u = float(u)
-    k = find_span(T, d, u)
-
-    # Triangular table ndu[r, j] = value of function (k - j + r) at degree j.
-    ndu = np.zeros((d + 1, d + 1))
-    left = np.zeros(d + 1)
-    right = np.zeros(d + 1)
-    ndu[0, 0] = 1.0
-    for j in range(1, d + 1):
-        left[j] = u - T[k + 1 - j]
-        right[j] = T[k + j] - u
-        saved = 0.0
-        for r in range(j):
-            temp = ndu[r, j - 1] / (right[r + 1] + left[j - r])
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-
-    values = ndu[:, d].copy()
-
-    ders = np.zeros(d + 1)
-    if d > 0:
-        for r in range(d + 1):
-            i = k - d + r
-            a = 0.0
-            if r > 0:
-                den = T[i + d] - T[i]
-                if den != 0.0:
-                    a = ndu[r - 1, d - 1] / den
-            b = 0.0
-            if r < d:
-                den = T[i + d + 1] - T[i + 1]
-                if den != 0.0:
-                    b = ndu[r, d - 1] / den
-            ders[r] = d * (a - b)
-
+    first, values, derivatives = evaluate_many(space, [float(u)])
+    values, derivatives = values[0], derivatives[0]
     values.flags.writeable = False
-    ders.flags.writeable = False
-    return BasisEvaluation(first_index=k - d, values=values, derivatives=ders)
+    derivatives.flags.writeable = False
+    return BasisEvaluation(
+        first_index=int(first[0]), values=values, derivatives=derivatives
+    )
+
+
+def evaluate_functions(
+    space: SplineSpace, indices, xs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative of basis function ``indices[p]`` at ``xs[p]``.
+
+    Both are zero where the point lies off that function's support.
+    """
+    first, values, derivatives = evaluate_many(space, xs)
+    j = np.asarray(indices) - first
+    off = (j < 0) | (j > space.degree)
+    pick = np.arange(len(first)), np.clip(j, 0, space.degree)
+    return np.where(off, 0.0, values[pick]), np.where(off, 0.0, derivatives[pick])
 
 
 def value_of(space: SplineSpace, i: int, u: float) -> float:
     """Value of basis function ``i`` at ``u`` (zero off its support)."""
-    ev = evaluate(space, u)
-    j = i - ev.first_index
-    if 0 <= j <= space.degree:
-        return float(ev.values[j])
-    return 0.0
+    return float(evaluate_functions(space, [i], [u])[0][0])
 
 
 def integral(space: SplineSpace, i: int) -> float:
@@ -157,26 +179,28 @@ def integrals_up_to(space: SplineSpace, cutoff: float) -> np.ndarray:
 
     d = space.degree
     T = space.expanded
-    full = integrals(space)
-    out = np.array(full)
+    out = integrals(space)
     rule = legendre_rule((d + 2) // 2)  # exact through degree 2q-1 >= d
+    funcs, xs, ws = [], [], []
     for i in range(space.dimension):
         lo, hi = T[i], T[i + d + 1]
         if hi <= cutoff:
             continue
+        out[i] = 0.0
         if lo >= cutoff:
-            out[i] = 0.0
             continue
-        acc = 0.0
         spans = np.unique(T[i : i + d + 2])
         for xl, xr in zip(spans, spans[1:]):
             xr = min(float(xr), cutoff)
             if xr <= xl:
                 break
             mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
-            for x, w in zip(rule.nodes, rule.weights):
-                acc += half * w * value_of(space, i, mid + half * x)
-        out[i] = acc
+            funcs += [i] * rule.order
+            xs.append(mid + half * rule.nodes)
+            ws.append(half * rule.weights)
+    if funcs:
+        values, _ = evaluate_functions(space, funcs, np.concatenate(xs))
+        np.add.at(out, funcs, np.concatenate(ws) * values)
     return out
 
 

@@ -29,6 +29,7 @@ from .galerkin import (
     assemble,
     quadrature_space,
     savings_report,
+    trial_space,
 )
 from .knots import KnotVector, ParityError, SplineSpace, uniform_space
 from .serialization import RuleDocument, matrix_to_csv, matrix_to_triplets
@@ -111,11 +112,16 @@ def _random_spline_error(
     rng = np.random.default_rng(seed)
     ints = basis.integrals(space)
     a, b = space.interval
+    first, values, _ = basis.evaluate_many(space, rule.nodes)
+    rows = first[:, None] + np.arange(space.degree + 1)
     worst = 0.0
     for _ in range(samples):
         coeffs = rng.uniform(0.0, 0.5, space.dimension)
         exact = float(coeffs @ ints)
-        approx = rule.apply(lambda u: basis.eval_spline(space, coeffs, u))
+        # a 1 x (d+1) by (d+1) x 1 matmul runs the dot kernel of
+        # eval_spline, and cumsum adds in node order as rule.apply does
+        at_nodes = np.matmul(coeffs[rows][:, None, :], values[:, :, None])
+        approx = float(np.cumsum(rule.weights * at_nodes[:, 0, 0])[-1])
         err = abs(approx - exact) / (np.linalg.norm(coeffs) * (b - a))
         worst = max(worst, err)
     return worst
@@ -123,14 +129,15 @@ def _random_spline_error(
 
 def cmd_validate(args) -> int:
     tol = _tolerance(args)
-    with open(args.rule) as fh:
-        doc = RuleDocument.from_json(fh.read())
     try:
+        with open(args.rule) as fh:
+            doc = RuleDocument.from_json(fh.read())
         space = doc.space()
-    except ValueError as exc:
-        return _fail(2, "malformed-document", str(exc))
-    rule = doc.rule()
-    defects = residual(space, rule)
+        rule = doc.rule()
+        defects = residual(space, rule)
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        # unreadable file or JSON, bad fields, nodes that do not fit the space
+        return _fail(2, "malformed-document", f"{type(exc).__name__}: {exc}")
     norm = float(np.linalg.norm(defects)) / space.dimension
     worst_idx = int(np.argmax(np.abs(defects)))
     spline_err = _random_spline_error(space, rule, args.samples, args.seed)
@@ -188,14 +195,13 @@ def cmd_hybrid(args) -> int:
 
 
 def cmd_assemble(args) -> int:
+    interval = args.interval or (0.0, float(args.elements))
     try:
         spec = DiscretizationSpec(args.p, args.k, args.l)
+        breaks = np.linspace(interval[0], interval[1], args.elements + 1)
+        mesh = trial_space(spec, breaks).knots
     except ValueError as exc:
         return _fail(2, "invalid-spec", str(exc))
-    interval = args.interval or (0.0, float(args.elements))
-    breaks = np.linspace(interval[0], interval[1], args.elements + 1)
-    mults = [spec.p + 1] + [spec.p - spec.k] * (args.elements - 1) + [spec.p + 1]
-    mesh = KnotVector(breaks, mults)
     try:
         result = trace(quadrature_space(spec, breaks))
         if not result.converged:
@@ -203,7 +209,9 @@ def cmd_assemble(args) -> int:
                 f"optimal-rule trace stalled at t={result.t_reached:.6f}"
             )
         report = savings_report(spec, mesh, rule=result.rule)
-    except (ParityError, RuntimeError, ValueError) as exc:
+    except ParityError as exc:
+        return _fail(2, "parity", str(exc))
+    except (RuntimeError, ValueError) as exc:
         return _fail(3, "assembly-failed", str(exc))
     mass, stiff = assemble(spec, mesh, result.rule)
     writer = matrix_to_triplets if args.coo else matrix_to_csv

@@ -101,6 +101,7 @@ class _System:
     space: SplineSpace
     cutoff: float
     integrals: np.ndarray = field(init=False)
+    _last: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.integrals = basis.integrals_up_to(self.space, self.cutoff)
@@ -109,23 +110,28 @@ class _System:
     def size(self) -> int:
         return self.space.dimension
 
+    def _basis_at(self, nodes: np.ndarray):
+        """Rows, values and derivatives per node, kept for the last nodes:
+        Newton takes the Jacobian where it has just taken the residual."""
+        if self._last is None or not np.array_equal(self._last[0], nodes):
+            first, values, derivatives = basis.evaluate_many(self.space, nodes)
+            rows = first[:, None] + np.arange(self.space.degree + 1)
+            self._last = (np.array(nodes), rows, values, derivatives)
+        return self._last[1:]
+
     def residual(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        rows, values, _ = self._basis_at(nodes)
         out = -np.array(self.integrals)
-        d = self.space.degree
-        for x, w in zip(nodes, weights):
-            ev = basis.evaluate(self.space, x)
-            out[ev.first_index : ev.first_index + d + 1] += w * ev.values
+        np.add.at(out, rows, weights[:, None] * values)
         return out
 
     def jacobian(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        rows, values, derivatives = self._basis_at(nodes)
         m = len(nodes)
-        d = self.space.degree
+        cols = np.arange(m)[:, None]
         jac = np.zeros((self.size, 2 * m))
-        for j, (x, w) in enumerate(zip(nodes, weights)):
-            ev = basis.evaluate(self.space, x)
-            rows = slice(ev.first_index, ev.first_index + d + 1)
-            jac[rows, j] = w * ev.derivatives
-            jac[rows, m + j] = ev.values
+        jac[rows, cols] = weights[:, None] * derivatives
+        jac[rows, m + cols] = values
         return jac
 
 

@@ -98,15 +98,18 @@ def assemble(
             f"interval {space.interval}"
         )
     n = space.dimension
-    p = spec.p
-    mass = np.zeros((n, n))
-    stiff = np.zeros((n, n))
-    for x, w in zip(rule.nodes, rule.weights):
-        ev = basis.evaluate(space, x)
-        sl = slice(ev.first_index, ev.first_index + p + 1)
-        mass[sl, sl] += w * np.outer(ev.values, ev.values)
-        stiff[sl, sl] += w * np.outer(ev.derivatives, ev.derivatives)
-    return mass, stiff
+    first, values, derivatives = basis.evaluate_many(space, rule.nodes)
+    rows = first[:, None] + np.arange(spec.p + 1)
+    # flat (i, j) entries of each node's local block, in node order
+    entries = (rows[:, :, None] * n + rows[:, None, :]).ravel()
+    w = rule.weights[:, None, None]
+
+    def gram(f: np.ndarray) -> np.ndarray:
+        out = np.zeros(n * n)
+        np.add.at(out, entries, (w * (f[:, :, None] * f[:, None, :])).ravel())
+        return out.reshape(n, n)
+
+    return gram(values), gram(derivatives)
 
 
 def classical_rule(degree: int, breaks) -> QuadratureRule:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import evaluate, integrals
+from .basis import evaluate_many, integrals
 from .knots import SplineSpace
 from .rules import QuadratureRule
 
@@ -109,12 +109,11 @@ def source_rule(source: SplineSpace) -> QuadratureRule:
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
 
-    defect = np.array(
-        [
-            sum(w * _basis_value(source, i, x) for x, w in zip(nodes, weights))
-            for i in range(source.dimension)
-        ]
-    ) - integrals(source)
+    # each node sees only the d+1 Bernstein functions of its own element,
+    # so the defects of the source system cost O(dim)
+    first, values, _ = evaluate_many(source, nodes)
+    defect = -integrals(source)
+    np.add.at(defect, first[:, None] + np.arange(d + 1), weights[:, None] * values)
     norm = float(np.linalg.norm(defect)) / source.dimension
     if norm > _SOURCE_RESIDUAL_TOL:
         raise RuntimeError(
@@ -128,8 +127,3 @@ def source_rule(source: SplineSpace) -> QuadratureRule:
         meta={"provenance": "gauss", "degree": d, "space": source.to_dict()},
     )
 
-
-def _basis_value(space: SplineSpace, i: int, u: float) -> float:
-    ev = evaluate(space, u)
-    j = i - ev.first_index
-    return float(ev.values[j]) if 0 <= j <= space.degree else 0.0

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from splinegauss import KnotVector, SplineSpace, eval_spline, evaluate, uniform_space
-from splinegauss.basis import integral, integrals, integrals_up_to, value_of
+from splinegauss.basis import (
+    evaluate_many,
+    integral,
+    integrals,
+    integrals_up_to,
+    value_of,
+)
 
 from oracles import bspline_value, heavy_gauss_integral
 
@@ -30,15 +36,72 @@ def dense_values(space, u):
     return out
 
 
+def oracle_values(space, u):
+    """Divided-difference values of every basis function at ``u``.
+
+    Truncated powers give left limits where a function jumps; on the
+    mirrored knots they give the right limits the package uses, except at
+    the right end, where the package takes the left limit as well.
+    """
+    T = space.expanded.tolist()
+    d, n = space.degree, space.dimension
+    if u == space.interval[1]:
+        return np.array([bspline_value(T, d, i, u) for i in range(n)])
+    mirror = [-t for t in reversed(T)]
+    return np.array([bspline_value(mirror, d, n - 1 - i, -u) for i in range(n)])
+
+
+def probe_points(space, count=30, seed=13):
+    """Random points plus every breakpoint, both ends included."""
+    a, b = space.interval
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(a, b, count), space.knots.breaks])
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_partition_of_unity_and_derivative_sum(name):
     space = SPACES[name]
     a, b = space.interval
     rng = np.random.default_rng(42)
-    for u in rng.uniform(a, b, 10_000):
+    _, values, derivatives = evaluate_many(space, rng.uniform(a, b, 10_000))
+    assert np.all(np.abs(values.sum(axis=1) - 1.0) <= 1e-13)
+    scale = np.maximum(1.0, np.abs(derivatives).max(axis=1))
+    assert np.all(np.abs(derivatives.sum(axis=1)) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_evaluate_many_matches_divided_differences(name):
+    space = SPACES[name]
+    d = space.degree
+    xs = probe_points(space)
+    first, values, _ = evaluate_many(space, xs)
+    assert first.shape == xs.shape
+    assert values.shape == (len(xs), d + 1)
+    # the divided-difference oracle loses ~d digits to cancellation
+    tol = 1e-12 * 10 ** max(d - 3, 0)
+    for p, u in enumerate(xs):
+        ours = np.zeros(space.dimension)
+        ours[first[p] : first[p] + d + 1] = values[p]
+        assert np.abs(ours - oracle_values(space, u)).max() <= tol, u
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_evaluate_many_rows_equal_scalar_evaluate(name):
+    space = SPACES[name]
+    xs = probe_points(space, seed=29)
+    first, values, derivatives = evaluate_many(space, xs)
+    for p, u in enumerate(xs):
         ev = evaluate(space, u)
-        assert abs(ev.values.sum() - 1.0) <= 1e-13
-        assert abs(ev.derivatives.sum()) <= 1e-10 * max(1.0, np.abs(ev.derivatives).max())
+        assert ev.first_index == first[p]
+        assert ev.values.tobytes() == values[p].tobytes()
+        assert ev.derivatives.tobytes() == derivatives[p].tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+def test_evaluate_many_rejects_one_point_outside(bad):
+    space = SPACES["septic-c1"]
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_many(space, [0.1, 0.5, bad, 0.9])
 
 
 def test_open_left_endpoint_interpolates():

@@ -136,6 +136,28 @@ class TestValidateCommand:
         _, out2, _ = run(capsys, ["validate", str(rule_doc)])
         assert out1 == out2
 
+    # document text written from the good document, or None for no file
+    MALFORMED = {
+        "missing-interval": lambda doc: json.dumps(
+            {key: value for key, value in doc.items() if key != "interval"}
+        ),
+        "not-json": lambda doc: "element,i,tau,omega\n1,1,0.5,1.0\n",
+        "missing-file": None,
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document_exits_2_with_json_error(
+        self, capsys, rule_doc, tmp_path, case
+    ):
+        path = tmp_path / "malformed.json"
+        make = self.MALFORMED[case]
+        if make is not None:
+            path.write_text(make(json.loads(rule_doc.read_text())))
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "malformed-document"
+
 
 class TestAsymptoticCommand:
     def test_tabulated_pattern(self, capsys):
@@ -217,3 +239,17 @@ class TestAssembleCommand:
         assert mass.shape == (13, 13)  # trial dimension N(p-k) + k + 1
         assert np.abs(mass - mass.T).max() == 0.0
         assert (tmp_path / "demo_stiffness.csv").exists()
+
+    def test_parity_violation_exits_2_without_writing(self, capsys, tmp_path):
+        prefix = tmp_path / "demo"
+        code, out, err = run(
+            capsys,
+            ["assemble", "-p", "2", "-k", "1", "-l", "1", "-N", "10",
+             "--out-prefix", str(prefix)],
+        )
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "parity"
+        assert "odd number of elements" in payload["message"]
+        assert list(tmp_path.iterdir()) == []

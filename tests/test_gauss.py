@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from splinegauss import KnotVector, SplineSpace, legendre_rule, source_rule
+from splinegauss import KnotVector, SplineSpace, gauss, legendre_rule, source_rule
 from splinegauss.basis import integrals, value_of
 
 from oracles import golub_welsch
@@ -91,6 +91,20 @@ class TestSourceRule:
                 for x, w in zip(rule.nodes, rule.weights)
             )
             assert abs(q - ints[i]) <= 1e-14
+
+    def test_corrupted_element_rule_fails_the_self_check(self, monkeypatch):
+        exact = gauss.legendre_rule
+
+        def corrupted(q):
+            rule = exact(q)
+            weights = rule.weights.copy()
+            weights[0] += 1e-9
+            return gauss.ElementRule(q, rule.nodes.copy(), weights)
+
+        monkeypatch.setattr(gauss, "legendre_rule", corrupted)
+        space = SplineSpace(7, KnotVector([0.0, 0.5, 1.0], [8, 8, 8]))
+        with pytest.raises(RuntimeError, match="source rule residual"):
+            source_rule(space)
 
     def test_even_degree_rejected(self):
         space = SplineSpace(4, KnotVector([0.0, 1.0], [5, 5]))
