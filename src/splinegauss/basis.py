@@ -182,12 +182,9 @@ def integrals_up_to(space: SplineSpace, cutoff: float) -> np.ndarray:
     out = integrals(space)
     rule = legendre_rule((d + 2) // 2)  # exact through degree 2q-1 >= d
     funcs, xs, ws = [], [], []
-    for i in range(space.dimension):
-        lo, hi = T[i], T[i + d + 1]
-        if hi <= cutoff:
-            continue
+    for i in np.flatnonzero(T[d + 1 : d + 1 + space.dimension] > cutoff):
         out[i] = 0.0
-        if lo >= cutoff:
+        if T[i] >= cutoff:
             continue
         spans = np.unique(T[i : i + d + 2])
         for xl, xr in zip(spans, spans[1:]):

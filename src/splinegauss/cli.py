@@ -31,7 +31,7 @@ from .galerkin import (
     savings_report,
     trial_space,
 )
-from .knots import KnotVector, ParityError, SplineSpace, uniform_space
+from .knots import ParityError, SplineSpace, uniform_space
 from .serialization import RuleDocument, matrix_to_csv, matrix_to_triplets
 
 ENV_TOL = "SPLINEGAUSS_TOL"
@@ -64,12 +64,15 @@ def _load_space(args) -> SplineSpace:
     if args.knots:
         with open(args.knots) as fh:
             doc = json.load(fh)
-        degree = int(doc.get("degree", args.degree or 0))
-        if args.degree and degree != args.degree:
+        if args.degree is not None:
+            doc = {"degree": args.degree, **doc}
+        space = SplineSpace.from_dict(doc)
+        if args.degree is not None and space.degree != args.degree:
             raise ValueError(
-                f"degree {args.degree} conflicts with knot file degree {degree}"
+                f"degree {args.degree} conflicts with knot file degree "
+                f"{space.degree}"
             )
-        return SplineSpace(degree, KnotVector(doc["breaks"], doc["mults"]))
+        return space
     if args.degree is None or args.continuity is None or args.elements is None:
         raise ValueError(
             "specify either --knots FILE or all of -d, -c, -N"
@@ -86,8 +89,9 @@ def cmd_rule(args) -> int:
     tol = _tolerance(args)
     try:
         space = _load_space(args)
-    except (ParityError, ValueError) as exc:
-        return _fail(2, "invalid-space", str(exc))
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        # unreadable file or JSON, missing or mistyped fields, bad space
+        return _fail(2, "invalid-space", f"{type(exc).__name__}: {exc}")
     try:
         result = trace(space)
     except (ParityError, ValueError) as exc:

@@ -3,7 +3,8 @@
 The rule (nodes and weights) is a root of the square exactness system
 ``F(x, t) = 0`` demanding that every basis function of the time-``t``
 spline space is integrated exactly over ``[a, b]``.  A secant predictor
-and damped Newton corrector advance the root as the knots travel; when
+and a damped Newton corrector, which factors the banded Jacobian of the
+interleaved unknowns, advance the root as the knots travel; when
 the source carries surplus basis functions, the trailing nodes drift to
 ``b`` with vanishing weights and a reduced solve on the exact target
 space finishes the job.
@@ -11,7 +12,7 @@ space finishes the job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 # Pivot smaller than this times the largest entry of the row-equilibrated
-# factor is declared singular.
+# band factor is declared singular.
 _PIVOT_REL_TOL = 1e-14
 
 # The full system is traced until 1 - t falls below this before the
@@ -125,13 +126,30 @@ class _System:
         np.add.at(out, rows, weights[:, None] * values)
         return out
 
-    def jacobian(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def jacobian_entries(
+        self, nodes: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzeros of the Jacobian as ``(rows, columns, values)``.
+
+        Columns interleave the unknowns as ``(x0, w0, x1, w1, ...)``; node
+        ``j`` touches only its ``degree + 1`` basis functions, so the
+        entries fill a narrow band around the diagonal.
+        """
         rows, values, derivatives = self._basis_at(nodes)
+        even = np.arange(0, 2 * len(nodes), 2)
+        cols = np.repeat(np.concatenate((even, even + 1)), rows.shape[1])
+        return (
+            np.concatenate((rows, rows), axis=None),
+            cols,
+            np.concatenate((weights[:, None] * derivatives, values), axis=None),
+        )
+
+    def jacobian(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Dense Jacobian with the columns ordered nodes, then weights."""
+        rows, cols, vals = self.jacobian_entries(nodes, weights)
         m = len(nodes)
-        cols = np.arange(m)[:, None]
         jac = np.zeros((self.size, 2 * m))
-        jac[rows, cols] = weights[:, None] * derivatives
-        jac[rows, m + cols] = values
+        jac[rows, cols // 2 + (cols % 2) * m] = vals
         return jac
 
 
@@ -162,14 +180,29 @@ def jacobian(space: SplineSpace, rule: QuadratureRule) -> np.ndarray:
     return sys.jacobian(rule.nodes, rule.weights)
 
 
-def _solve_equilibrated(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row-equilibrated LU solve; raises NewtonFailure on tiny pivots."""
-    scale = np.maximum(np.abs(jac).max(axis=1), 1e-300)
-    lu, piv = scipy.linalg.lu_factor(jac / scale[:, None])
-    diag = np.abs(np.diag(lu))
-    if diag.min() < _PIVOT_REL_TOL * max(np.abs(lu).max(), 1e-300):
+def _solve_banded(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Row-equilibrated band LU solve of ``J z = rhs`` from J's nonzeros.
+
+    The bandwidths come from the entry pattern, so clustered nodes that
+    widen the band stay correct.  Raises NewtonFailure on tiny pivots.
+    """
+    n = len(rhs)
+    offset = rows - cols
+    kl, ku = max(int(offset.max()), 0), max(-int(offset.min()), 0)
+    scale = np.full(n, 1e-300)
+    np.maximum.at(scale, rows, np.abs(vals))
+    # LAPACK band storage keeps A[i, j] at ab[kl + ku + i - j, j]; the top
+    # kl rows take the fill-in of the row interchanges
+    ab = np.zeros((2 * kl + ku + 1, n))
+    ab[kl + ku + offset, cols] = vals / scale[rows]
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
+    diag = np.abs(lu[kl + ku])
+    if info > 0 or diag.min() < _PIVOT_REL_TOL * max(np.abs(lu).max(), 1e-300):
         raise NewtonFailure("singular", "linear solve hit a negligible pivot")
-    return scipy.linalg.lu_solve((lu, piv), rhs / scale)
+    z, _ = scipy.linalg.lapack.dgbtrs(lu, kl, ku, rhs / scale, piv)
+    return z
 
 
 def _in_domain(
@@ -202,7 +235,8 @@ def _newton(
     for it in range(1, cfg.newton_max_iters + 1):
         if norm <= cfg.newton_tol:
             return x[:m], x[m:], float(norm), it - 1
-        step = -_solve_equilibrated(sys.jacobian(x[:m], x[m:]), f)
+        z = _solve_banded(*sys.jacobian_entries(x[:m], x[m:]), f)
+        step = -np.concatenate((z[0::2], z[1::2]))
         in_domain_once = False
         for _ in range(10):
             trial = x + step
@@ -244,12 +278,8 @@ def newton_correct(
     nodes, weights, norm, _ = _newton(
         sys, guess.interval, guess.nodes, guess.weights, cfg
     )
-    return QuadratureRule(
-        interval=guess.interval,
-        nodes=nodes,
-        weights=weights,
-        residual_norm=norm,
-        meta=dict(guess.meta),
+    return replace(
+        guess, nodes=nodes, weights=weights, residual_norm=norm, meta=dict(guess.meta)
     )
 
 
@@ -321,13 +351,7 @@ def finalize_limit(
     meta = dict(rule.meta)
     meta["dropped_nodes"] = [float(x) for x in tail_nodes]
     meta["dropped_weights"] = [float(w) for w in tail_weights]
-    return QuadratureRule(
-        interval=rule.interval,
-        nodes=nodes,
-        weights=weights,
-        residual_norm=norm,
-        meta=meta,
-    )
+    return replace(rule, nodes=nodes, weights=weights, residual_norm=norm, meta=meta)
 
 
 @dataclass
@@ -402,15 +426,8 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
             status=status,
             surplus=r,
         )
-        final = QuadratureRule(
-            interval=rule.interval,
-            nodes=rule.nodes,
-            weights=rule.weights,
-            residual_norm=rule.residual_norm,
-            meta=meta,
-        )
         return TraceResult(
-            rule=final,
+            rule=replace(rule, meta=meta),
             steps_taken=tr.steps,
             newton_failures=tr.failures,
             t_reached=t_reached,
@@ -419,31 +436,22 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
 
     def partial_rule() -> QuadratureRule:
         m = len(tr.x) // 2
-        return QuadratureRule(
-            interval=(a, b),
-            nodes=tr.x[:m],
-            weights=tr.x[m:],
-            residual_norm=None,
-        )
+        return QuadratureRule(interval=(a, b), nodes=tr.x[:m], weights=tr.x[m:])
+
+    def finish(rule: QuadratureRule) -> TraceResult:
+        rule = replace(rule, residual_norm=residual_norm(target, rule))
+        if not _valid_final(rule, target, cfg):
+            return result(rule, "stalled", tr.t)
+        return result(rule, "converged", 1.0)
 
     def finish_reduced(force: bool = False) -> TraceResult:
-        m = len(tr.x) // 2
-        pre = QuadratureRule(interval=(a, b), nodes=tr.x[:m], weights=tr.x[m:])
+        pre = partial_rule()
         try:
             rule = finalize_limit(space_at(path, 1.0), pre, r, cfg, force=force)
         except NewtonFailure:
             tr.failures += 1
-            return result(partial_rule(), "stalled", tr.t)
-        rule = QuadratureRule(
-            interval=rule.interval,
-            nodes=rule.nodes,
-            weights=rule.weights,
-            residual_norm=residual_norm(target, rule),
-            meta=rule.meta,
-        )
-        if not _valid_final(rule, target, cfg):
-            return result(rule, "stalled", tr.t)
-        return result(rule, "converged", 1.0)
+            return result(pre, "stalled", tr.t)
+        return finish(rule)
 
     dt = cfg.initial_step
     while True:
@@ -473,27 +481,8 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
         if iters <= 4:
             dt = min(dt * cfg.grow, cfg.max_step)
         if tr.t >= 1.0:
-            return finish_reduced() if r > 0 else _finish_exact(tr, target, cfg, result)
-
-
-def _finish_exact(tr: _Tracker, target, cfg, result) -> TraceResult:
-    """Final state at t=1 with no surplus: the rule is already the root."""
-    m = len(tr.x) // 2
-    rule = QuadratureRule(
-        interval=target.interval,
-        nodes=tr.x[:m],
-        weights=tr.x[m:],
-    )
-    rule = QuadratureRule(
-        interval=rule.interval,
-        nodes=rule.nodes,
-        weights=rule.weights,
-        residual_norm=residual_norm(target, rule),
-        meta={},
-    )
-    if not _valid_final(rule, target, cfg):
-        return result(rule, "stalled", tr.t)
-    return result(rule, "converged", 1.0)
+            # with no surplus the state at t=1 is already the root
+            return finish_reduced() if r > 0 else finish(partial_rule())
 
 
 def _valid_final(

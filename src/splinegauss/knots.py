@@ -293,11 +293,11 @@ def space_at(path: KnotPath, t: float, degree: int | None = None) -> SplineSpace
     tol = COINCIDENCE_REL_TOL * (b - a)
     breaks: list[float] = [float(knots[0])]
     mults: list[int] = [1]
-    for z in knots[1:]:
+    for z in knots[1:].tolist():
         if z - breaks[-1] <= tol:
             mults[-1] += 1
         else:
-            breaks.append(float(z))
+            breaks.append(z)
             mults.append(1)
     if any(m > degree + 1 for m in mults):
         raise ValueError(

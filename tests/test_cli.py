@@ -76,6 +76,45 @@ class TestRuleCommand:
         assert len(doc["nodes"]) == 19
         assert abs(doc["nodes"][0] - 0.01475556054370093982) <= 1e-11
 
+    # knot file text ("dir" names a directory, None no file) and extra args
+    GOOD_KNOTS = {"degree": 5, "breaks": [0.0, 1.0, 2.0], "mults": [6, 4, 6]}
+    BAD_KNOTS = {
+        "missing-file": (None, []),
+        "unreadable": ("dir", []),
+        "not-json": ("degree: 5\n", []),
+        "not-an-object": (json.dumps([0.0, 1.0]), []),
+        "missing-breaks": (json.dumps({"degree": 5, "mults": [6, 6]}), []),
+        "missing-degree": (
+            json.dumps({"breaks": [0.0, 1.0], "mults": [6, 6]}), []
+        ),
+        "mistyped-breaks": (
+            json.dumps({**GOOD_KNOTS, "breaks": "0 1 2"}), []
+        ),
+        "mistyped-degree": (json.dumps({**GOOD_KNOTS, "degree": "five"}), []),
+        "null-mults": (json.dumps({**GOOD_KNOTS, "mults": None}), []),
+        "degree-conflict": (json.dumps(GOOD_KNOTS), ["-d", "7"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_KNOTS))
+    def test_bad_knot_file_exits_2_with_json_error(self, capsys, tmp_path, case):
+        text, extra = self.BAD_KNOTS[case]
+        path = tmp_path / "knots.json"
+        if text == "dir":
+            path.mkdir()
+        elif text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, ["rule", "--knots", str(path), *extra])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-space"
+
+    def test_good_knot_file_takes_a_matching_degree(self, capsys, tmp_path):
+        path = tmp_path / "knots.json"
+        path.write_text(json.dumps(self.GOOD_KNOTS))
+        code, out, _ = run(capsys, ["rule", "--knots", str(path), "-d", "5"])
+        assert code == 0
+        assert len(json.loads(out)["nodes"]) == 5
+
     def test_env_var_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SPLINEGAUSS_TOL", "1e-30")
         code, _, err = run(capsys, ["rule", "-d", "5", "-c", "1", "-N", "4"])

@@ -10,6 +10,7 @@ from splinegauss import (
     SplineSpace,
     TraceConfig,
     TraceResult,
+    asymptotic_rule,
     finalize_limit,
     jacobian,
     newton_correct,
@@ -20,10 +21,11 @@ from splinegauss import (
     trace,
     uniform_space,
 )
-from splinegauss.basis import eval_spline, integrals
+from splinegauss.basis import eval_spline, evaluate_many, integrals
+from splinegauss.continuation import _System
 from splinegauss.knots import knot_path, space_at
 
-from tracing import get_trace
+from tracing import ACCEPTANCE_TABLES, EXTRA_TABLES, get_trace, space_for
 
 
 class TestResidual:
@@ -86,6 +88,47 @@ class TestJacobian:
             fd[:, j] = (residual(space, rp) - residual(space, rm)) / (2 * step)
         assert np.abs(jac - fd).max() <= 1e-6
 
+    @staticmethod
+    def near_limit_state():
+        """Full space just before t=1 with the dying node put back."""
+        target = space_for("d7_c1_N30")
+        rule = get_trace("d7_c1_N30").rule
+        space = space_at(knot_path(source_space(target), target), 1.0 - 1e-8)
+        nodes = np.concatenate([rule.nodes, rule.meta["dropped_nodes"]])
+        weights = np.concatenate([rule.weights, rule.meta["dropped_weights"]])
+        return space, QuadratureRule(rule.interval, nodes, weights)
+
+    @pytest.mark.parametrize("state", ["golden", "near-limit"])
+    def test_band_entries_scatter_to_the_dense_jacobian(self, state):
+        if state == "golden":
+            space, rule = space_for("d9_c1_N20"), get_trace("d9_c1_N20").rule
+        else:
+            space, rule = self.near_limit_state()
+        m = rule.num_nodes
+        # reference: nodes then weights, straight from the basis kernel
+        first, values, derivatives = evaluate_many(space, rule.nodes)
+        rows = first[:, None] + np.arange(space.degree + 1)
+        cols = np.arange(m)[:, None]
+        expect = np.zeros((space.dimension, 2 * m))
+        expect[rows, cols] = rule.weights[:, None] * derivatives
+        expect[rows, m + cols] = values
+        jac = jacobian(space, rule)
+        assert jac.tobytes() == expect.tobytes()
+        sys = _System(space, cutoff=rule.interval[1])
+        rows, cols, vals = sys.jacobian_entries(rule.nodes, rule.weights)
+        interleaved = np.zeros_like(jac)
+        interleaved[rows, cols] = vals
+        order = np.arange(2 * m).reshape(2, m).T.ravel()  # x0, w0, x1, ...
+        assert interleaved.tobytes() == jac[:, order].tobytes()
+
+    @pytest.mark.parametrize("name", ACCEPTANCE_TABLES + EXTRA_TABLES)
+    def test_bandwidths_at_most_degree_at_golden_rules(self, name):
+        space, rule = space_for(name), get_trace(name).rule
+        sys = _System(space, cutoff=rule.interval[1])
+        rows, cols, _ = sys.jacobian_entries(rule.nodes, rule.weights)
+        assert (rows - cols).max() <= space.degree
+        assert (cols - rows).max() <= space.degree
+
     def test_zero_weights_zero_node_block(self):
         space = uniform_space(5, 1, 4, (0.0, 1.0))
         m = space.dimension // 2
@@ -125,6 +168,14 @@ class TestNewtonCorrect:
         with pytest.raises(NewtonFailure) as err:
             newton_correct(self.src, guess)
         assert err.value.cause == "left-domain"
+
+    def test_coincident_nodes_are_singular(self):
+        nodes = self.rule.nodes.copy()
+        nodes[1] = nodes[0]
+        guess = QuadratureRule(self.rule.interval, nodes, self.rule.weights)
+        with pytest.raises(NewtonFailure) as err:
+            newton_correct(self.src, guess)
+        assert err.value.cause == "singular"
 
     def test_far_guess_fails_instead_of_silently_returning(self):
         m = self.rule.num_nodes
@@ -228,6 +279,18 @@ class TestTrace:
         assert res.status == "stalled"
         assert res.t_reached < 1.0
         assert res.newton_failures > 0
+
+    def test_large_uniform_target_reaches_the_asymptotic_pattern(self):
+        n = 160
+        res = trace(uniform_space(5, 1, n))
+        assert res.converged and res.rule.residual_norm <= 1e-14
+        e = n // 2
+        xs, ws = asymptotic_rule(5, 1).positions_in(e, e + 1)
+        rule = res.rule
+        inside = (rule.nodes >= e - 1e-9) & (rule.nodes < e + 1 - 1e-9)
+        assert inside.sum() == len(xs)
+        assert np.abs(rule.nodes[inside] - xs).max() <= 1e-12
+        assert np.abs(rule.weights[inside] - ws).max() <= 1e-12
 
     def test_parity_violation_raises(self):
         from splinegauss import ParityError
