@@ -44,7 +44,6 @@ from .knots import (
     KnotVector,
     ParityError,
     SplineSpace,
-    dimension,
     knot_path,
     source_space,
     space_at,
@@ -74,7 +73,6 @@ __all__ = [
     "assemble",
     "asymptotic_rule",
     "classical_rule",
-    "dimension",
     "eval_spline",
     "evaluate",
     "finalize_limit",

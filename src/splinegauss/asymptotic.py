@@ -3,8 +3,7 @@
 On a uniform grid the optimal rule far from the boundary repeats with a
 period of one element (odd continuity) or two elements (even continuity).
 Closed-form constants are tabulated where known; otherwise the periodic
-exactness system is solved directly, or the pattern is read off the
-converged interior of a long finite-domain trace.
+exactness system is solved directly.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ import math
 import numpy as np
 
 from . import basis
-from .continuation import TraceConfig, residual_norm, trace
+from .continuation import residual_norm, trace
+from .gauss import legendre_rule
 from .knots import KnotVector, ParityError, SplineSpace, uniform_space
 from .rules import QuadratureRule
 
@@ -28,7 +28,6 @@ __all__ = [
     "pattern_residual",
 ]
 
-_SNAP_TOL = 1e-6
 _SOLVE_TOL = 1e-14
 
 
@@ -217,7 +216,9 @@ def _validate_pair(d: int, c: int) -> None:
 def _shape_space(d: int, c: int, period: int) -> tuple[SplineSpace, list[int]]:
     """Padded uniform grid and the indices of one period's basis shapes."""
     mult = d - c
-    pad = d + 4
+    # evaluation stops d knots inside each end, and at multiplicity one a
+    # shape of the period reaches d elements past it
+    pad = 2 * (d + 1)
     breaks = np.arange(-pad, period + pad + 1, dtype=float)
     space = SplineSpace(d, KnotVector(breaks, [mult] * len(breaks)))
     T = space.expanded
@@ -282,7 +283,7 @@ def _configs(d: int, c: int) -> list[tuple[list[_NodeSpec], int, int]]:
 
     Returns (node specs, number of offset unknowns, number of weight
     unknowns).  Preference is calibrated to the layouts the finite-domain
-    rules converge to: knot nodes appear for continuity one, not above.
+    rules converge to: knot nodes appear where ``c % 4 == 1``.
     """
     period = 1 if c % 2 == 1 else 2
     out = []
@@ -294,7 +295,7 @@ def _configs(d: int, c: int) -> list[tuple[list[_NodeSpec], int, int]]:
                 rest = s - k0 - m0
                 if rest >= 0 and rest % 2 == 0:
                     combos.append((k0, m0, rest // 2))
-        prefer_knot = c == 1
+        prefer_knot = c % 4 == 1
         combos.sort(key=lambda km: (-km[0] if prefer_knot else km[0], -km[1]))
         for k0, m0, pairs in combos:
             specs: list[_NodeSpec] = []
@@ -338,9 +339,11 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
     """Solve the per-period exactness system with a symmetric ansatz.
 
     Gauss-Newton on the constraints that the tiled rule integrates each
-    distinct periodic basis shape exactly, starting from equispaced
-    offsets and equal weights.  Reproduces the tabulated closed forms and
-    covers further pairs whose limit layout fits the symmetric ansatz.
+    distinct periodic basis shape exactly.  A period of one element starts
+    from equispaced offsets and equal weights, each element of a period of
+    two from its own Gauss-Legendre rule.  Reproduces the tabulated closed
+    forms and covers further pairs whose limit layout fits the symmetric
+    ansatz.
     """
     _validate_pair(d, c)
     period = 1 if c % 2 == 1 else 2
@@ -348,17 +351,27 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
     T = space.expanded
 
     def solve_config(specs, n_deltas, n_weights, init_scale):
-        deltas0 = np.array(
-            [(j + 1.0) / (2.0 * (n_deltas + 1)) for j in range(n_deltas)]
-        ) * init_scale
-        per_elem = {}
-        for sp in specs:
-            per_elem[sp.element] = per_elem.get(sp.element, 0) + 1
         # one weight unknown per distinct weight index
         w_init = np.zeros(n_weights)
-        for sp in specs:
-            w_init[sp.weight] = 1.0 / per_elem[sp.element]
-        theta = np.concatenate([deltas0, w_init])
+        if period == 1:
+            deltas0 = np.array(
+                [(j + 1.0) / (2.0 * (n_deltas + 1)) for j in range(n_deltas)]
+            )
+            w_init[:] = 1.0 / len(specs)
+        else:
+            # period-two layouts have no knot nodes: the n nodes of an
+            # element start at its n-point Gauss rule mapped to [0, 1]
+            deltas0 = np.zeros(n_deltas)
+            for e in {sp.element for sp in specs}:
+                elem = [sp for sp in specs if sp.element == e]
+                g = legendre_rule(len(elem))
+                lows = [sp for sp in elem if sp.kind == "pair_lo"]
+                mids = [sp for sp in elem if sp.kind == "mid"]
+                for j, sp in enumerate(lows + mids):
+                    if sp.kind == "pair_lo":
+                        deltas0[sp.pair] = 0.5 * (1.0 + g.nodes[j])
+                    w_init[sp.weight] = 0.5 * g.weights[j]
+        theta = np.concatenate([deltas0 * init_scale, w_init])
 
         def unpack(th):
             return th[:n_deltas], th[n_deltas:]
@@ -445,82 +458,17 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
     )
 
 
-# ---------------------------------------------------------------------------
-# pattern extraction from a long finite-domain trace
-
-
-def _snap_offsets(offsets, weights, period):
-    """Symmetrize near-converged offsets: exact knots, mids, and pairs."""
-    items = sorted(zip(offsets, weights))
-    snapped: list[tuple[float, float]] = []
-    for e in range(period):
-        elem = [(o - e, w) for o, w in items if e - 0.02 <= o < e + 0.98]
-        fixed: list[tuple[float, float]] = []
-        loose: list[tuple[float, float]] = []
-        for o, w in elem:
-            if abs(o) < _SNAP_TOL:
-                fixed.append((0.0, w))
-            elif abs(o - 0.5) < _SNAP_TOL:
-                fixed.append((0.5, w))
-            else:
-                loose.append((o, w))
-        lo, hi = 0, len(loose) - 1
-        while lo < hi:
-            o1, w1 = loose[lo]
-            o2, w2 = loose[hi]
-            delta = 0.5 * (o1 + (1.0 - o2))
-            wm = 0.5 * (w1 + w2)
-            loose[lo] = (delta, wm)
-            loose[hi] = (1.0 - delta, wm)
-            lo += 1
-            hi -= 1
-        snapped.extend((e + o, w) for o, w in fixed + loose)
-    snapped.sort()
-    return (
-        np.array([o for o, _ in snapped]),
-        np.array([w for _, w in snapped]),
-    )
-
-
-def _pattern_from_trace(d: int, c: int, num_elements: int) -> AsymptoticPattern:
-    period = 1 if c % 2 == 1 else 2
-    target = uniform_space(d, c, num_elements)
-    res = trace(target)
-    if not res.converged:
-        raise ValueError(
-            f"no convergent interior pattern for degree {d}, continuity {c}: "
-            f"trace stalled at t={res.t_reached:.6f}"
-        )
-    rule = res.rule
-    if period == 1:
-        e0 = (num_elements + 1) // 2
-    else:
-        e0 = 2 * ((num_elements + 1) // 4)
-    lo = (e0 - 1) - 0.02
-    hi = lo + period
-    mask = (rule.nodes >= lo) & (rule.nodes < hi)
-    offsets = rule.nodes[mask] - (e0 - 1)
-    weights = rule.weights[mask]
-    offsets, weights = _snap_offsets(offsets, weights, period)
-    return AsymptoticPattern(d, c, period, offsets, weights)
-
-
-def asymptotic_rule(d: int, c: int, num_elements: int = 33) -> AsymptoticPattern:
+def asymptotic_rule(d: int, c: int) -> AsymptoticPattern:
     """Infinite-domain pattern for the degree/continuity pair.
 
     Tabulated constants are returned where available; otherwise the
-    pattern is read from the converged interior of a uniform trace with
-    ``num_elements`` elements (at least 31, odd so both parities exist).
+    periodic exactness system is solved (:func:`solve_asymptotic_system`).
     """
     _validate_pair(d, c)
     registry = _closed_registry()
     if (d, c) in registry:
         return registry[(d, c)]
-    if num_elements < 31:
-        raise ValueError("pattern extraction needs at least 31 elements")
-    if num_elements % 2 == 0:
-        num_elements += 1
-    return _pattern_from_trace(d, c, num_elements)
+    return solve_asymptotic_system(d, c)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +492,6 @@ def hybrid_rule(
     c: int,
     num_elements: int,
     boundary_depth: int | None = None,
-    cfg: TraceConfig | None = None,
 ) -> QuadratureRule:
     """Rule on ``[0, N]``: traced boundary elements, asymptotic interior.
 
@@ -581,7 +528,7 @@ def hybrid_rule(
     pattern = asymptotic_rule(d, c)
 
     n_ref = 2 * depth + 5  # odd, keeps the mirrored boundary uncontaminated
-    ref = trace(uniform_space(d, c, n_ref), cfg)
+    ref = trace(uniform_space(d, c, n_ref))
     if not ref.converged:
         raise RuntimeError(
             f"reference trace with {n_ref} elements stalled at "

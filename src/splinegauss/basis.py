@@ -175,26 +175,21 @@ def integrals_up_to(space: SplineSpace, cutoff: float) -> np.ndarray:
     supports are integrated span by span with a Gauss rule exact for the
     space's degree; supports entirely above contribute zero.
     """
-    from .gauss import legendre_rule  # deferred: gauss depends on basis
+    from .gauss import composite_rule  # deferred: gauss depends on basis
 
     d = space.degree
     T = space.expanded
     out = integrals(space)
-    rule = legendre_rule((d + 2) // 2)  # exact through degree 2q-1 >= d
+    q = (d + 2) // 2  # exact through degree 2q-1 >= d
     funcs, xs, ws = [], [], []
     for i in np.flatnonzero(T[d + 1 : d + 1 + space.dimension] > cutoff):
         out[i] = 0.0
-        if T[i] >= cutoff:
-            continue
-        spans = np.unique(T[i : i + d + 2])
-        for xl, xr in zip(spans, spans[1:]):
-            xr = min(float(xr), cutoff)
-            if xr <= xl:
-                break
-            mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
-            funcs += [i] * rule.order
-            xs.append(mid + half * rule.nodes)
-            ws.append(half * rule.weights)
+        # the spans of the support cut at the cutoff; none if it starts above
+        spans = np.unique(np.minimum(T[i : i + d + 2], cutoff))
+        x, w = composite_rule(q, spans)
+        funcs += [i] * len(x)
+        xs.append(x)
+        ws.append(w)
     if funcs:
         values, _ = evaluate_functions(space, funcs, np.concatenate(xs))
         np.add.at(out, funcs, np.concatenate(ws) * values)

@@ -81,10 +81,6 @@ def _load_space(args) -> SplineSpace:
     return uniform_space(args.degree, args.continuity, args.elements, interval)
 
 
-def _document(args, space: SplineSpace, result) -> RuleDocument:
-    return RuleDocument.from_rule(result.rule, space)
-
-
 def cmd_rule(args) -> int:
     tol = _tolerance(args)
     try:
@@ -96,7 +92,7 @@ def cmd_rule(args) -> int:
         result = trace(space)
     except (ParityError, ValueError) as exc:
         return _fail(2, "parity", str(exc))
-    doc = _document(args, space, result)
+    doc = RuleDocument.from_rule(result.rule, space)
     _emit(args, doc.to_csv() if args.format == "csv" else doc.to_json())
     if not result.converged:
         return _fail(

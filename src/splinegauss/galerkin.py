@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .continuation import TraceConfig, trace
-from .gauss import legendre_rule
+from .gauss import composite_rule
 from .knots import KnotVector, SplineSpace
 from .rules import QuadratureRule
 
@@ -114,17 +113,12 @@ def assemble(
 
 def classical_rule(degree: int, breaks) -> QuadratureRule:
     """Per-element Gauss rule with ``degree + 1`` points per element."""
-    elem = legendre_rule(degree + 1)
-    nodes, weights = [], []
     breaks = [float(x) for x in breaks]
-    for xl, xr in zip(breaks, breaks[1:]):
-        xs, ws = elem.mapped(xl, xr)
-        nodes.append(xs)
-        weights.append(ws)
+    nodes, weights = composite_rule(degree + 1, breaks)
     return QuadratureRule(
         interval=(breaks[0], breaks[-1]),
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
+        nodes=nodes,
+        weights=weights,
         meta={"provenance": "gauss", "points_per_element": degree + 1},
     )
 
@@ -165,8 +159,7 @@ class SavingsReport:
 def savings_report(
     spec: DiscretizationSpec,
     mesh: KnotVector,
-    rule: QuadratureRule | None = None,
-    cfg: TraceConfig | None = None,
+    rule: QuadratureRule,
 ) -> SavingsReport:
     """Compare optimal-rule assembly against per-element Gauss.
 
@@ -174,13 +167,6 @@ def savings_report(
     the maximum relative matrix discrepancies (both quadratures are exact
     for the integrands, so the matrices agree to rounding).
     """
-    if rule is None:
-        result = trace(quadrature_space(spec, mesh.breaks), cfg)
-        if not result.converged:
-            raise RuntimeError(
-                f"optimal-rule trace stalled at t={result.t_reached:.6f}"
-            )
-        rule = result.rule
     m_opt, k_opt = assemble(spec, mesh, rule)
     gauss = classical_rule(spec.p, mesh.breaks)
     m_cl, k_cl = assemble(spec, mesh, gauss)

@@ -17,7 +17,7 @@ from .basis import evaluate_many, integrals
 from .knots import SplineSpace
 from .rules import QuadratureRule
 
-__all__ = ["ElementRule", "legendre_rule", "source_rule"]
+__all__ = ["ElementRule", "composite_rule", "legendre_rule", "source_rule"]
 
 _NEWTON_CAP = 100
 _SOURCE_RESIDUAL_TOL = 1e-13
@@ -34,11 +34,6 @@ class ElementRule:
     def __post_init__(self):
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
-
-    def mapped(self, xl: float, xr: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights transplanted to the element [xl, xr]."""
-        mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
-        return mid + half * self.nodes, half * self.weights
 
 
 def _legendre_and_derivative(q: int, x: float) -> tuple[float, float]:
@@ -88,6 +83,19 @@ def legendre_rule(q: int) -> ElementRule:
     return ElementRule(q, nodes, weights)
 
 
+def composite_rule(q: int, breaks) -> tuple[np.ndarray, np.ndarray]:
+    """The ``q``-point Gauss rule mapped onto each span of ``breaks``.
+
+    Returns nodes and weights span by span, so the nodes ascend when the
+    breaks do.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    elem = legendre_rule(q)
+    xl, xr = breaks[:-1, None], breaks[1:, None]
+    mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
+    return (mid + half * elem.nodes).ravel(), (half * elem.weights).ravel()
+
+
 def source_rule(source: SplineSpace) -> QuadratureRule:
     """Optimal rule for a discontinuous odd-degree space: per-element Gauss.
 
@@ -100,14 +108,7 @@ def source_rule(source: SplineSpace) -> QuadratureRule:
         raise ValueError(f"source space degree must be odd; got {d}")
     if any(m != d + 1 for m in source.knots.mults):
         raise ValueError("source space must be discontinuous (all mults d+1)")
-    elem = legendre_rule((d + 1) // 2)
-    nodes, weights = [], []
-    for xl, xr in zip(source.knots.breaks, source.knots.breaks[1:]):
-        xs, ws = elem.mapped(xl, xr)
-        nodes.append(xs)
-        weights.append(ws)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    nodes, weights = composite_rule((d + 1) // 2, source.knots.breaks)
 
     # each node sees only the d+1 Bernstein functions of its own element,
     # so the defects of the source system cost O(dim)

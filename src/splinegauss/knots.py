@@ -21,7 +21,6 @@ __all__ = [
     "KnotPath",
     "ParityError",
     "uniform_space",
-    "dimension",
     "source_space",
     "knot_path",
     "space_at",
@@ -177,11 +176,6 @@ def uniform_space(
     return SplineSpace(degree, KnotVector(breaks, mults))
 
 
-def dimension(space: SplineSpace) -> int:
-    """Dimension of the spline space (number of basis functions)."""
-    return space.dimension
-
-
 def source_space(target: SplineSpace) -> SplineSpace:
     """Discontinuous uniform space whose optimal rule is per-element Gauss.
 
@@ -206,11 +200,6 @@ def source_space(target: SplineSpace) -> SplineSpace:
     a, b = target.interval
     breaks = np.linspace(a, b, n + 1)
     return SplineSpace(d, KnotVector(breaks, [d + 1] * (n + 1)))
-
-
-def redundancy(source: SplineSpace, target: SplineSpace) -> int:
-    """Dimension excess of the source over the target."""
-    return source.dimension - target.dimension
 
 
 @dataclass(frozen=True)
@@ -255,7 +244,7 @@ def knot_path(source: SplineSpace, target: SplineSpace) -> KnotPath:
     element beyond the right end), where ``N`` is the number of target
     elements; everything else pairs up index-wise on the ascending sorts.
     """
-    r = redundancy(source, target)
+    r = source.dimension - target.dimension
     if r < 0 or r % 2 != 0:
         raise RuntimeError(
             f"internal error: redundancy {r} invalid; source must come from "

@@ -140,7 +140,9 @@ class TestSolver:
         assert pattern.offsets == pytest.approx([0.5], abs=1e-14)
         assert pattern.weights == pytest.approx([1.0], abs=1e-14)
 
-    @pytest.mark.parametrize("pair", [(7, 2), (7, 3), (9, 3)])
+    @pytest.mark.parametrize(
+        "pair", [(7, 2), (7, 3), (9, 3), (5, 4), (7, 6), (9, 8), (11, 10)]
+    )
     def test_further_pairs_solve_exactly(self, pair):
         pattern = solve_asymptotic_system(*pair)
         assert pattern_residual(pattern) <= 1e-14
@@ -177,12 +179,44 @@ class TestPatternValidation:
             AsymptoticPattern(5, 1, 1, np.array([0.5]), np.array([1.0]))
 
 
-class TestExtractionFromTrace:
-    def test_septic_c3_matches_solver(self):
-        extracted = asymptotic_rule(7, 3)
-        solved = solve_asymptotic_system(7, 3)
-        assert extracted.offsets == pytest.approx(solved.offsets, abs=1e-12)
-        assert extracted.weights == pytest.approx(solved.weights, abs=1e-12)
+ALL_PAIRS = [(d, c) for d in range(1, 12, 2) for c in range(d)]
+
+
+class TestEveryPair:
+    @pytest.mark.parametrize("d, c", ALL_PAIRS)
+    def test_pattern_is_exact(self, d, c):
+        pattern = asymptotic_rule(d, c)
+        assert pattern_residual(pattern) <= 1e-14
+        assert pattern.weights.sum() == pytest.approx(pattern.period, abs=1e-14)
+
+
+class TestTraceInterior:
+    """The middle period of a long uniform trace is the asymptotic pattern."""
+
+    @pytest.mark.parametrize(
+        "d, c, n",
+        [(7, 3, 33), (9, 5, 33), (11, 0, 33), (7, 5, 101), (5, 4, 101)],
+    )
+    def test_middle_period_matches_pattern(self, d, c, n):
+        rule = get_trace((d, c, n)).rule
+        pattern = asymptotic_rule(d, c)
+        interior = {}
+        for e in range(n // 2, n // 2 + pattern.period):
+            # a knot node belongs to the element it starts
+            inside = (rule.nodes >= e - 0.02) & (rule.nodes < e + 0.98)
+            interior[int(inside.sum())] = (
+                rule.nodes[inside] - e,
+                rule.weights[inside],
+            )
+        expected = layouts_by_count(pattern)
+        assert interior.keys() == expected.keys()
+        for count, (offsets, weights) in interior.items():
+            assert offsets == pytest.approx(
+                [o for o, _ in expected[count]], abs=1e-12
+            )
+            assert weights == pytest.approx(
+                [w for _, w in expected[count]], abs=1e-12
+            )
 
 
 class TestConvergenceToPattern:

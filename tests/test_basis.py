@@ -5,8 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from splinegauss import KnotVector, SplineSpace, eval_spline, evaluate, uniform_space
+from splinegauss import (
+    KnotVector,
+    SplineSpace,
+    eval_spline,
+    evaluate,
+    knot_path,
+    legendre_rule,
+    source_space,
+    space_at,
+    uniform_space,
+)
 from splinegauss.basis import (
+    evaluate_functions,
     evaluate_many,
     integral,
     integrals,
@@ -242,6 +253,40 @@ class TestIntegral:
                 spans=spans,
             )
             assert got[i] == pytest.approx(ref, abs=1e-14)
+
+    @pytest.mark.parametrize("target", [(7, 1, 6), (5, 0, 5)])
+    def test_integrals_up_to_equals_a_per_function_span_loop(self, target):
+        # reference: each straddling function sums its Gauss points span by
+        # span, in ascending order, one term at a time; same bits required
+        def span_loop(space, cutoff):
+            d = space.degree
+            T = space.expanded
+            g = legendre_rule((d + 2) // 2)
+            out = integrals(space)
+            for i in range(space.dimension):
+                if T[i + d + 1] <= cutoff:
+                    continue
+                out[i] = 0.0
+                spans = np.unique(T[i : i + d + 2])
+                for xl, xr in zip(spans, spans[1:]):
+                    xr = min(float(xr), cutoff)
+                    if xr <= xl:
+                        break
+                    mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
+                    xs = mid + half * g.nodes
+                    values, _ = evaluate_functions(space, [i] * len(xs), xs)
+                    for w, v in zip(half * g.weights, values):
+                        out[i] += w * v
+            return out
+
+        space = uniform_space(*target)
+        path = knot_path(source_space(space), space)
+        b = space.interval[1]
+        for t in (0.3, 0.8, 1.0):
+            moved = space_at(path, t)
+            for cutoff in (b, 0.37 * b):
+                got = integrals_up_to(moved, cutoff)
+                assert np.array_equal(got, span_loop(moved, cutoff))
 
     def test_integrals_matches_per_index(self):
         space = SPACES["septic-c1"]

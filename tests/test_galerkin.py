@@ -106,7 +106,7 @@ class TestOptimalVsClassical:
     def test_single_element_counts_coincide(self):
         spec = DiscretizationSpec(3, 2, 1)
         mesh = uniform_mesh(spec, 1)
-        report = savings_report(spec, mesh)
+        report = savings_report(spec, mesh, rule=get_trace((7, 1, 1)).rule)
         assert report.optimal_nodes == report.classical_nodes == 4
 
     def test_savings_for_cubic_c2(self):

@@ -59,6 +59,17 @@ class TestLegendreRule:
             legendre_rule(0)
 
 
+class TestCompositeRule:
+    def test_each_span_gets_the_mapped_element_rule(self):
+        breaks = [0.0, 0.3, 1.0, 2.5]
+        nodes, weights = gauss.composite_rule(3, breaks)
+        ref = legendre_rule(3)
+        for s, (xl, xr) in enumerate(zip(breaks, breaks[1:])):
+            mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
+            assert np.array_equal(nodes[3 * s : 3 * s + 3], mid + half * ref.nodes)
+            assert np.array_equal(weights[3 * s : 3 * s + 3], half * ref.weights)
+
+
 class TestSourceRule:
     def test_two_septic_elements(self):
         space = SplineSpace(7, KnotVector([0.0, 0.5, 1.0], [8, 8, 8]))

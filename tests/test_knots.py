@@ -9,7 +9,6 @@ from splinegauss import (
     KnotVector,
     ParityError,
     SplineSpace,
-    dimension,
     knot_path,
     source_space,
     space_at,
@@ -47,11 +46,11 @@ class TestKnotVector:
 class TestDimension:
     def test_septic_two_element_target(self):
         space = SplineSpace(7, KnotVector([0.0, 0.5, 1.0], [8, 6, 8]))
-        assert dimension(space) == 14
+        assert space.dimension == 14
 
     def test_septic_two_element_source(self):
         space = SplineSpace(7, KnotVector([0.0, 0.5, 1.0], [8, 8, 8]))
-        assert dimension(space) == 16
+        assert space.dimension == 16
 
     def test_uniform_quintic_against_multiset_count(self):
         space = uniform_space(5, 1, 10)
@@ -59,7 +58,7 @@ class TestDimension:
         expanded = []
         for x, m in zip(space.knots.breaks, space.knots.mults):
             expanded.extend([x] * m)
-        assert dimension(space) == len(expanded) - 6 == 42
+        assert space.dimension == len(expanded) - 6 == 42
 
     def test_uniform_formula(self):
         for d in (5, 7, 9):
