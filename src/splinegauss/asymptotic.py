@@ -4,12 +4,17 @@ On a uniform grid the optimal rule far from the boundary repeats with a
 period of one element (odd continuity) or two elements (even continuity).
 Closed-form constants are tabulated where known; otherwise the periodic
 exactness system is solved directly.
+
+``_tile`` alone places the tiled pattern, for the pattern's nodes, the
+periodic residual and its Jacobian, and a hybrid rule's interior.  The
+solver's symmetric ansatz is arrays over the period's nodes: node ``i``
+sits at ``base[i] + sign[i] * delta[pair[i]]`` with weight ``w[widx[i]]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import count
+from dataclasses import dataclass, replace
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -87,17 +92,8 @@ class AsymptoticPattern:
 
     def positions_in(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         """Tiled nodes and weights with positions in ``[lo, hi)``."""
-        xs, ws = [], []
-        k0 = math.floor(lo / self.period) - 1
-        k1 = math.ceil(hi / self.period) + 1
-        for k in range(k0, k1 + 1):
-            for off, w in zip(self.offsets, self.weights):
-                x = off + self.period * k
-                if lo <= x < hi:
-                    xs.append(x)
-                    ws.append(w)
-        order = np.argsort(xs)
-        return np.asarray(xs)[order], np.asarray(ws)[order]
+        xs, index = _tile(self.offsets, self.period, lo, hi)
+        return xs, self.weights[index]
 
     def to_dict(self) -> dict:
         return {
@@ -109,6 +105,7 @@ class AsymptoticPattern:
         }
 
 
+@lru_cache(maxsize=None)
 def _closed_forms() -> dict[tuple[int, int], AsymptoticPattern]:
     sqrt7 = math.sqrt(7.0)
     sqrt21 = math.sqrt(21.0)
@@ -192,16 +189,6 @@ def _closed_forms() -> dict[tuple[int, int], AsymptoticPattern]:
     }
 
 
-_CLOSED = None
-
-
-def _closed_registry():
-    global _CLOSED
-    if _CLOSED is None:
-        _CLOSED = _closed_forms()
-    return _CLOSED
-
-
 def _validate_pair(d: int, c: int) -> None:
     if d < 1 or d % 2 == 0:
         raise ValueError(f"degree must be odd and positive; got {d}")
@@ -213,7 +200,25 @@ def _validate_pair(d: int, c: int) -> None:
 # periodic exactness system
 
 
-def _shape_space(d: int, c: int, period: int) -> tuple[SplineSpace, list[int]]:
+def _tile(positions, period, lo, hi, origin=0):
+    """Points ``positions[i] + origin + period * k`` that lie in ``[lo, hi)``.
+
+    Returns the points and each point's index into ``positions``, ordered
+    by tile ``k``, then by index.  A point is one addition of the exact
+    integer ``origin + period * k`` to a position, so it rounds once.
+    Positions may stray up to two periods outside ``[0, period)``, as the
+    solver's iterates do.
+    """
+    k = np.arange(
+        math.floor((lo - origin) / period) - 2,
+        math.ceil((hi - origin) / period) + 3,
+    )
+    xs = np.asarray(positions) + (origin + period * k)[:, None]
+    inside = (lo <= xs) & (xs < hi)
+    return xs[inside], np.nonzero(inside)[1]
+
+
+def _shape_space(d: int, c: int, period: int) -> tuple[SplineSpace, np.ndarray]:
     """Padded uniform grid and the indices of one period's basis shapes."""
     mult = d - c
     # evaluation stops d knots inside each end, and at multiplicity one a
@@ -221,10 +226,30 @@ def _shape_space(d: int, c: int, period: int) -> tuple[SplineSpace, list[int]]:
     pad = 2 * (d + 1)
     breaks = np.arange(-pad, period + pad + 1, dtype=float)
     space = SplineSpace(d, KnotVector(breaks, [mult] * len(breaks)))
+    first = int(np.searchsorted(space.expanded, 0.0, side="left"))
+    return space, np.arange(first, first + mult * period)
+
+
+def _tiled_defects(space, shapes, period, positions, weights):
+    """Exactness defects of the tiled rule on ``shapes``, and its hits.
+
+    ``defects[r]`` is the quadrature of shape ``shapes[r]`` minus its
+    integral.  A hit is a tiled node in the closed support of a shape; for
+    each hit this returns the shape's row, the node's index into
+    ``positions`` and the shape's value and derivative there, ordered by
+    shape, then tile, then index.
+    """
+    d = space.degree
     T = space.expanded
-    first = int(np.searchsorted(T, 0.0, side="left"))
-    shapes = list(range(first, first + mult * period))
-    return space, shapes
+    lo, hi = T[shapes], T[shapes + d + 1]
+    xs, index = _tile(positions, period, lo[0], np.nextafter(hi[-1], np.inf))
+    rows, hit = np.nonzero((lo[:, None] <= xs) & (xs <= hi[:, None]))
+    index = index[hit]
+    values, derivs = basis.evaluate_functions(space, shapes[rows], xs[hit])
+    defects = -(hi - lo) / (d + 1)
+    # a node on the end of a closed support adds a zero
+    np.add.at(defects, rows, weights[index] * values)
+    return defects, rows, index, values, derivs
 
 
 def pattern_residual(pattern: AsymptoticPattern) -> float:
@@ -233,175 +258,102 @@ def pattern_residual(pattern: AsymptoticPattern) -> float:
     Zero (to rounding) exactly when the pattern integrates every basis
     function of the bi-infinite uniform space.
     """
-    d, c, P = pattern.degree, pattern.continuity, pattern.period
-    space, shapes = _shape_space(d, c, P)
-    T = space.expanded
-    funcs, xs, ws = [], [], []
-    for i in shapes:
-        lo, hi = T[i], T[i + d + 1]
-        px, pw = pattern.positions_in(lo - P, hi + P)
-        inside = (lo <= px) & (px <= hi)
-        funcs += [i] * int(inside.sum())
-        xs.append(px[inside])
-        ws.append(pw[inside])
-    values, _ = basis.evaluate_functions(space, funcs, np.concatenate(xs))
-    q = np.zeros(space.dimension)
-    np.add.at(q, funcs, np.concatenate(ws) * values)
-    shapes = np.asarray(shapes)
-    defects = q[shapes] - (T[shapes + d + 1] - T[shapes]) / (d + 1)
-    return float(np.abs(defects).max())
+    P = pattern.period
+    space, shapes = _shape_space(pattern.degree, pattern.continuity, P)
+    defects = _tiled_defects(space, shapes, P, pattern.offsets, pattern.weights)
+    return float(np.abs(defects[0]).max())
 
 
-@dataclass(frozen=True)
-class _NodeSpec:
-    """One node of the symmetric ansatz within the period."""
+def _configs(d: int, c: int):
+    """Candidate symmetric layouts of one period, preferred first.
 
-    element: int
-    kind: str  # "knot" | "mid" | "pair_lo" | "pair_hi"
-    pair: int  # index into the offset unknowns (-1 for fixed nodes)
-    weight: int  # index into the weight unknowns
-
-    def position(self, deltas: np.ndarray) -> float:
-        if self.kind == "knot":
-            return float(self.element)
-        if self.kind == "mid":
-            return self.element + 0.5
-        if self.kind == "pair_lo":
-            return self.element + deltas[self.pair]
-        return self.element + 1.0 - deltas[self.pair]
-
-    def dposition(self) -> float:
-        if self.kind == "pair_lo":
-            return 1.0
-        if self.kind == "pair_hi":
-            return -1.0
-        return 0.0
-
-
-def _configs(d: int, c: int) -> list[tuple[list[_NodeSpec], int, int]]:
-    """Candidate symmetric layouts, preferred first.
-
-    Returns (node specs, number of offset unknowns, number of weight
-    unknowns).  Preference is calibrated to the layouts the finite-domain
-    rules converge to: knot nodes appear where ``c % 4 == 1``.
+    Yields, per layout, ``(base, sign, pair, widx, delta0, w0)``, arrays
+    over the period's nodes and the start of the unknowns.  Node ``i`` sits
+    at ``base[i] + sign[i] * delta[pair[i]]`` with weight ``w[widx[i]]``.
+    The two nodes of a pair share one offset unknown and one weight; a knot
+    or midpoint node is fixed, with sign 0 and ``pair`` pointing at a single
+    0 padded onto the offsets.  A period of one element starts from
+    equispaced offsets and equal weights; each element of a period of two
+    starts from its own Gauss-Legendre rule mapped to [0, 1], and an element
+    with no nodes (c = d - 1) is skipped.  Preference is calibrated to the
+    layouts the finite-domain rules converge to: knot nodes appear where
+    ``c % 4 == 1``.
     """
-    period = 1 if c % 2 == 1 else 2
-    out = []
-    if period == 1:
+    # per element of the period: (knot nodes, midpoint nodes, pairs)
+    if c % 2 == 1:
         s = (d - c) // 2
-        combos = []
-        for k0 in (0, 1):
-            for m0 in (0, 1):
-                rest = s - k0 - m0
-                if rest >= 0 and rest % 2 == 0:
-                    combos.append((k0, m0, rest // 2))
+        combos = [
+            (k0, m0)
+            for k0 in (0, 1)
+            for m0 in (0, 1)
+            if s - k0 - m0 >= 0 and (s - k0 - m0) % 2 == 0
+        ]
         prefer_knot = c % 4 == 1
         combos.sort(key=lambda km: (-km[0] if prefer_knot else km[0], -km[1]))
-        for k0, m0, pairs in combos:
-            specs: list[_NodeSpec] = []
-            w = count()
-            if k0:
-                specs.append(_NodeSpec(0, "knot", -1, next(w)))
-            if m0:
-                specs.append(_NodeSpec(0, "mid", -1, next(w)))
-            for j in range(pairs):
-                wj = next(w)
-                specs.append(_NodeSpec(0, "pair_lo", j, wj))
-                specs.append(_NodeSpec(0, "pair_hi", j, wj))
-            out.append((specs, pairs, k0 + m0 + pairs))
+        layouts = [[(k0, m0, (s - k0 - m0) // 2)] for k0, m0 in combos]
     else:
         total = d - c  # odd: exactly one element of the period holds a mid
-        for order in (
-            (math.ceil(total / 2), total // 2),
-            (total // 2, math.ceil(total / 2)),
-        ):
-            specs = []
-            deltas = count()
-            weights = count()
-            n_deltas = 0
-            n_weights = 0
-            for e, n_nodes in enumerate(order):
-                if n_nodes % 2 == 1:
-                    specs.append(_NodeSpec(e, "mid", -1, next(weights)))
-                    n_weights += 1
-                for _ in range(n_nodes // 2):
-                    j = next(deltas)
-                    wj = next(weights)
-                    specs.append(_NodeSpec(e, "pair_lo", j, wj))
-                    specs.append(_NodeSpec(e, "pair_hi", j, wj))
-                    n_deltas += 1
-                    n_weights += 1
-            out.append((specs, n_deltas, n_weights))
-    return out
+        halves = (math.ceil(total / 2), total // 2)
+        layouts = [
+            [(0, n % 2, n // 2) for n in order] for order in (halves, halves[::-1])
+        ]
+    for elements in layouts:
+        nodes, delta0, w0 = [], [], []  # nodes: (base, sign, pair, widx)
+        for e, (knot, mid, pairs) in enumerate(elements):
+            n = knot + mid + 2 * pairs
+            if n == 0:
+                continue
+            # start of pair j at index j, of a fixed node at index ``pairs``
+            if len(elements) == 1:
+                x_start = [(j + 1.0) / (2.0 * (pairs + 1)) for j in range(pairs)]
+                w_start = [1.0 / n] * (pairs + 1)
+            else:
+                # pairs take the lower Gauss nodes, a mid the centre one
+                g = legendre_rule(n)
+                x_start = 0.5 * (1.0 + g.nodes[:pairs])
+                w_start = 0.5 * g.weights
+            for b in [float(e)] * knot + [e + 0.5] * mid:
+                nodes.append((b, 0.0, -1, len(w0)))
+                w0.append(w_start[pairs])
+            for j in range(pairs):
+                nodes.append((float(e), 1.0, len(delta0), len(w0)))
+                nodes.append((e + 1.0, -1.0, len(delta0), len(w0)))
+                delta0.append(x_start[j])
+                w0.append(w_start[j])
+        base, sign, pair, widx = map(np.array, zip(*nodes))
+        pair[pair < 0] = len(delta0)
+        yield base, sign, pair, widx, np.array(delta0), np.array(w0)
 
 
 def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
     """Solve the per-period exactness system with a symmetric ansatz.
 
     Gauss-Newton on the constraints that the tiled rule integrates each
-    distinct periodic basis shape exactly.  A period of one element starts
-    from equispaced offsets and equal weights, each element of a period of
-    two from its own Gauss-Legendre rule.  Reproduces the tabulated closed
-    forms and covers further pairs whose limit layout fits the symmetric
-    ansatz.
+    distinct periodic basis shape exactly, over the layouts and starts of
+    ``_configs``.  Reproduces the tabulated closed forms and covers further
+    pairs whose limit layout fits the symmetric ansatz.
     """
     _validate_pair(d, c)
     period = 1 if c % 2 == 1 else 2
     space, shapes = _shape_space(d, c, period)
-    T = space.expanded
 
-    def solve_config(specs, n_deltas, n_weights, init_scale):
-        # one weight unknown per distinct weight index
-        w_init = np.zeros(n_weights)
-        if period == 1:
-            deltas0 = np.array(
-                [(j + 1.0) / (2.0 * (n_deltas + 1)) for j in range(n_deltas)]
-            )
-            w_init[:] = 1.0 / len(specs)
-        else:
-            # period-two layouts have no knot nodes: the n nodes of an
-            # element start at its n-point Gauss rule mapped to [0, 1]
-            deltas0 = np.zeros(n_deltas)
-            for e in {sp.element for sp in specs}:
-                elem = [sp for sp in specs if sp.element == e]
-                g = legendre_rule(len(elem))
-                lows = [sp for sp in elem if sp.kind == "pair_lo"]
-                mids = [sp for sp in elem if sp.kind == "mid"]
-                for j, sp in enumerate(lows + mids):
-                    if sp.kind == "pair_lo":
-                        deltas0[sp.pair] = 0.5 * (1.0 + g.nodes[j])
-                    w_init[sp.weight] = 0.5 * g.weights[j]
-        theta = np.concatenate([deltas0 * init_scale, w_init])
+    def solve_config(base, sign, pair, widx, delta0, w0, init_scale):
+        n_deltas = len(delta0)
+        theta = np.concatenate([delta0 * init_scale, w0])
 
-        def unpack(th):
-            return th[:n_deltas], th[n_deltas:]
+        def place(th):  # node positions and weight unknowns
+            deltas = np.append(th[:n_deltas], 0.0)
+            return base + sign * deltas[pair], th[n_deltas:]
 
         def residual_jac(th):
-            deltas, ws = unpack(th)
-            R = np.zeros(len(shapes))
+            positions, ws = place(th)
+            R, rows, node, val, der = _tiled_defects(
+                space, shapes, period, positions, ws[widx]
+            )
             J = np.zeros((len(shapes), len(th)))
-            hits = []  # (row, function, node, spec) in accumulation order
-            for row, i in enumerate(shapes):
-                lo, hi = T[i], T[i + d + 1]
-                R[row] = -(hi - lo) / (d + 1)
-                k_lo = math.floor((lo - period) / period) - 1
-                k_hi = math.ceil((hi + period) / period) + 1
-                for k in range(k_lo, k_hi + 1):
-                    for sp in specs:
-                        x = sp.position(deltas) + period * k
-                        if lo <= x <= hi:
-                            hits.append((row, i, x, sp))
-            rows, funcs, xs, hit = zip(*hits)
-            rows = np.array(rows)
-            val, der = basis.evaluate_functions(space, funcs, xs)
-            w_idx, pair = np.array([(sp.weight, sp.pair) for sp in hit]).T
-            w = ws[w_idx]
-            dpos = np.array([sp.dposition() for sp in hit])
-            # off-support hits add zeros, which leave every entry unchanged
-            np.add.at(R, rows, w * val)
-            np.add.at(J, (rows, n_deltas + w_idx), val)
-            on = pair >= 0
-            np.add.at(J, (rows[on], pair[on]), (w * der * dpos)[on])
+            np.add.at(J, (rows, n_deltas + widx[node]), val)
+            # a fixed node (sign 0) adds exact zeros to column n_deltas
+            np.add.at(J, (rows, pair[node]), ws[widx[node]] * der * sign[node])
             return R, J
 
         norm = np.inf
@@ -423,7 +375,7 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
                 break
         if norm > _SOLVE_TOL:
             return None
-        deltas, ws = unpack(theta)
+        deltas, ws = theta[:n_deltas], theta[n_deltas:]
         if np.any(ws <= 1e-12):
             return None
         if n_deltas and (
@@ -435,21 +387,13 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
             )
         ):
             return None
-        items = [
-            (sp.position(deltas), float(ws[sp.weight])) for sp in specs
-        ]
-        items.sort()
-        return AsymptoticPattern(
-            d,
-            c,
-            period,
-            np.array([x for x, _ in items]),
-            np.array([w for _, w in items]),
-        )
+        positions, ws = place(theta)
+        order = np.argsort(positions)
+        return AsymptoticPattern(d, c, period, positions[order], ws[widx][order])
 
-    for specs, n_deltas, n_weights in _configs(d, c):
+    for config in _configs(d, c):
         for init_scale in (1.0, 0.5, 1.5):
-            pattern = solve_config(specs, n_deltas, n_weights, init_scale)
+            pattern = solve_config(*config, init_scale)
             if pattern is not None:
                 return pattern
     raise ValueError(
@@ -465,7 +409,7 @@ def asymptotic_rule(d: int, c: int) -> AsymptoticPattern:
     periodic exactness system is solved (:func:`solve_asymptotic_system`).
     """
     _validate_pair(d, c)
-    registry = _closed_registry()
+    registry = _closed_forms()
     if (d, c) in registry:
         return registry[(d, c)]
     return solve_asymptotic_system(d, c)
@@ -537,48 +481,26 @@ def hybrid_rule(
 
     cut = depth - 0.02  # safely between the last interior offset and a knot
     left = ref.rule.nodes < cut
-    nodes = [ref.rule.nodes[left]]
-    weights = [ref.rule.weights[left]]
-
-    mid_nodes: list[float] = []
-    mid_weights: list[float] = []
-    if pattern.period == 1:
-        layout = pattern.element_layout(0)
-        knot_items = [(o, w) for o, w in layout if o == 0.0]
-        interior = [(o, w) for o, w in layout if o > 0.0]
-        for e in range(depth + 1, N - depth + 1):
-            for o, w in knot_items:
-                mid_nodes.append(e - 1.0)
-                mid_weights.append(w)
-            for o, w in interior:
-                mid_nodes.append(e - 1.0 + o)
-                mid_weights.append(w)
-        for o, w in knot_items:
-            mid_nodes.append(float(N - depth))
-            mid_weights.append(w)
-    else:
-        layouts = [pattern.element_layout(0), pattern.element_layout(1)]
-        first_count = int(
-            np.sum((ref.rule.nodes >= depth) & (ref.rule.nodes < depth + 1))
-        )
-        if len(layouts[0]) != first_count:
-            layouts.reverse()
-        if len(layouts[0]) != first_count:
+    # the interior starts at the pattern element whose node count matches
+    # the reference's element [depth, depth + 1)
+    phase = 0
+    if pattern.period == 2:
+        first = np.sum((ref.rule.nodes >= depth) & (ref.rule.nodes < depth + 1))
+        counts = [len(pattern.element_layout(e)) for e in (0, 1)]
+        if first not in counts:
             raise RuntimeError(
                 "interior of the reference rule does not match the pattern"
             )
-        for e in range(depth + 1, N - depth + 1):
-            for o, w in layouts[(e - depth - 1) % 2]:
-                mid_nodes.append(e - 1.0 + o)
-                mid_weights.append(w)
-    nodes.append(np.asarray(mid_nodes))
-    weights.append(np.asarray(mid_weights))
-
-    nodes.append(N - ref.rule.nodes[left][::-1])
-    weights.append(ref.rule.weights[left][::-1])
-
-    all_nodes = np.concatenate(nodes)
-    all_weights = np.concatenate(weights)
+        phase = counts.index(first)
+    nodes, weights = ref.rule.nodes[left], ref.rule.weights[left]
+    xs, index = _tile(
+        pattern.offsets, pattern.period, depth, N - depth + 0.5, depth - phase
+    )
+    interior = xs <= N - depth
+    all_nodes = np.concatenate([nodes, xs[interior], N - nodes[::-1]])
+    all_weights = np.concatenate(
+        [weights, pattern.weights[index[interior]], weights[::-1]]
+    )
     if np.any(np.diff(all_nodes) <= 0):
         raise RuntimeError("hybrid assembly produced unordered nodes")
     if 2 * len(all_nodes) != target.dimension:
@@ -598,11 +520,4 @@ def hybrid_rule(
             "space": target.to_dict(),
         },
     )
-    norm = residual_norm(target, rule)
-    return QuadratureRule(
-        interval=rule.interval,
-        nodes=rule.nodes,
-        weights=rule.weights,
-        residual_norm=norm,
-        meta=rule.meta,
-    )
+    return replace(rule, residual_norm=residual_norm(target, rule))

@@ -8,8 +8,10 @@ asymptotic  emit the infinite-domain pattern for a degree/continuity pair
 hybrid      combine traced boundary elements with the asymptotic interior
 assemble    build 1-D mass/stiffness matrices and report the savings
 
-Exit codes: 0 success, 2 invalid request (parity, bad arguments), 3 trace
-stalled, 4 validation failed.  Errors are emitted as JSON on stderr.
+Exit codes: 0 success, 2 invalid request (parity, bad arguments) or an
+output path that cannot be written, 3 trace stalled or a hybrid that
+cannot be assembled, 4 validation failed.  Errors are emitted as JSON on
+stderr.
 """
 
 from __future__ import annotations
@@ -181,6 +183,8 @@ def cmd_hybrid(args) -> int:
         )
     except (ParityError, ValueError) as exc:
         return _fail(2, "invalid-request", str(exc))
+    except RuntimeError as exc:
+        return _fail(3, "hybrid-failed", str(exc))
     space = uniform_space(args.degree, args.continuity, args.elements)
     doc = RuleDocument.from_rule(rule, space)
     _emit(args, doc.to_csv() if args.format == "csv" else doc.to_json())
@@ -299,7 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # the commands catch their input errors; what is left is output
+        return _fail(2, "unwritable-output", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -154,14 +154,8 @@ class RuleDocument:
         """Table-style CSV: element, index, node, weight at 20 decimals."""
         out = io.StringIO()
         out.write("element,i,tau,omega\n")
-        breaks = self.breaks
-        if breaks is None:
-            a, b = self.interval
-            breaks = [a, b]
-        breaks = np.asarray(breaks, dtype=float)
-        elems = np.clip(
-            np.searchsorted(breaks, self.nodes, side="right"), 1, len(breaks) - 1
-        )
+        breaks = self.breaks if self.breaks is not None else self.interval
+        elems = self.rule().element_of(breaks)
         for i, (e, x, w) in enumerate(zip(elems, self.nodes, self.weights), start=1):
             out.write(f"{e},{i},{x:.20f},{w:.20f}\n")
         return out.getvalue()

@@ -169,6 +169,20 @@ class TestSolver:
             solve_asymptotic_system(5, 5)
 
 
+class TestPatternResidual:
+    """The solver and this check share one residual; it must still bite."""
+
+    @pytest.mark.parametrize("move", [1e-6, -1e-6])
+    def test_moved_offsets_are_detected(self, move):
+        exact = asymptotic_rule(7, 1)
+        # move the symmetric pair apart or together; the knot node stays
+        moved = AsymptoticPattern(
+            7, 1, 1, exact.offsets + move * np.array([0.0, 1.0, -1.0]),
+            exact.weights,
+        )
+        assert pattern_residual(moved) > 1e-7
+
+
 class TestPatternValidation:
     def test_asymmetric_pattern_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -270,3 +284,29 @@ class TestHybrid:
     def test_too_few_elements_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             hybrid_rule(5, 1, 5, 4)
+
+    # phase: the pattern element that starts the interior at x = depth
+    @pytest.mark.parametrize(
+        "d, c, n, depth, phase",
+        [
+            (5, 0, 101, 1, 0),
+            (5, 0, 31, 2, 1),
+            (7, 2, 31, 2, 1),
+            (7, 0, 51, 1, 0),
+            (5, 1, 40, 4, 0),
+            (7, 1, 20, None, 0),
+        ],
+    )
+    def test_interior_is_the_pattern_tiled_bitwise(self, d, c, n, depth, phase):
+        rule = hybrid_rule(d, c, n, depth)
+        depth = rule.meta["boundary_depth"]
+        pattern = asymptotic_rule(d, c)
+        expected = []
+        for k in range(n):
+            shift = depth - phase + pattern.period * k  # an exact integer
+            for offset, weight in zip(pattern.offsets, pattern.weights):
+                if depth <= offset + shift <= n - depth:
+                    expected.append((offset + shift, weight))
+        inside = (rule.nodes >= depth) & (rule.nodes <= n - depth)
+        assert rule.nodes[inside].tolist() == [x for x, _ in expected]
+        assert rule.weights[inside].tolist() == [w for _, w in expected]

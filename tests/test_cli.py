@@ -244,6 +244,48 @@ class TestHybridCommand:
         assert doc["residual_norm"] > 1e-12
 
 
+    @pytest.mark.parametrize("d, c", [(7, 6), (5, 4), (11, 0)])
+    def test_unassemblable_hybrid_exits_3_with_json_error(self, capsys, d, c):
+        code, out, err = run(
+            capsys,
+            ["hybrid", "-d", str(d), "-c", str(c), "-N", "21",
+             "--boundary-depth", "1"],
+        )
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "hybrid-failed"
+        assert "optimal count" in payload["message"]
+
+
+class TestUnwritableOutput:
+    # every command, with its output pointed into a missing directory
+    COMMANDS = {
+        "rule": ["rule", "-d", "5", "-c", "1", "-N", "4", "-o", "{out}"],
+        "rule-csv": ["rule", "-d", "5", "-c", "1", "-N", "4", "--format",
+                     "csv", "-o", "{out}"],
+        "validate": ["validate", "{doc}", "-o", "{out}"],
+        "asymptotic": ["asymptotic", "-d", "7", "-c", "1", "-o", "{out}"],
+        "hybrid": ["hybrid", "-d", "5", "-c", "0", "-N", "11",
+                   "--boundary-depth", "1", "-o", "{out}"],
+        "assemble": ["assemble", "-p", "3", "-k", "2", "-l", "1", "-N", "30",
+                     "--out-prefix", "{out}"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMMANDS))
+    def test_exits_2_with_json_error(self, capsys, tmp_path, case):
+        doc = tmp_path / "rule.json"
+        assert run(
+            capsys, ["rule", "-d", "5", "-c", "1", "-N", "4", "-o", str(doc)]
+        )[0] == 0
+        missing = tmp_path / "missing" / "out"
+        argv = [a.format(doc=doc, out=missing) for a in self.COMMANDS[case]]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "unwritable-output"
+
+
 class TestAssembleCommand:
     def test_savings_and_matrix_files(self, capsys, tmp_path):
         prefix = tmp_path / "demo"
