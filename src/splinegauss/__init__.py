@@ -16,7 +16,7 @@ from .asymptotic import (
     pattern_residual,
     solve_asymptotic_system,
 )
-from .basis import BasisEvaluation, eval_spline, evaluate, integral, integrals
+from .basis import eval_spline, integrals
 from .continuation import (
     NewtonFailure,
     TraceConfig,
@@ -56,7 +56,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AsymptoticPattern",
-    "BasisEvaluation",
     "DiscretizationSpec",
     "ElementRule",
     "KnotPath",
@@ -74,10 +73,8 @@ __all__ = [
     "asymptotic_rule",
     "classical_rule",
     "eval_spline",
-    "evaluate",
     "finalize_limit",
     "hybrid_rule",
-    "integral",
     "integrals",
     "jacobian",
     "knot_path",

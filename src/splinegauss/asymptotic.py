@@ -95,15 +95,6 @@ class AsymptoticPattern:
         xs, index = _tile(self.offsets, self.period, lo, hi)
         return xs, self.weights[index]
 
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "continuity": self.continuity,
-            "period": self.period,
-            "offsets": [float(x) for x in self.offsets],
-            "weights": [float(w) for w in self.weights],
-        }
-
 
 @lru_cache(maxsize=None)
 def _closed_forms() -> dict[tuple[int, int], AsymptoticPattern]:

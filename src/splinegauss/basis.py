@@ -9,35 +9,17 @@ right end of the supported region).  Each basis function integrates to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .knots import SplineSpace
 
 __all__ = [
-    "BasisEvaluation",
-    "evaluate",
     "evaluate_many",
     "evaluate_functions",
-    "integral",
     "integrals",
     "integrals_up_to",
     "eval_spline",
 ]
-
-
-@dataclass(frozen=True)
-class BasisEvaluation:
-    """Nonzero basis values and first derivatives at one point.
-
-    ``values[j]`` and ``derivatives[j]`` belong to basis function
-    ``first_index + j`` (0-based); there are ``degree + 1`` of them.
-    """
-
-    first_index: int
-    values: np.ndarray
-    derivatives: np.ndarray
 
 
 def _spans(knots: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
@@ -112,21 +94,6 @@ def evaluate_many(
     return first, level, d * (padded[:, :-1] - padded[:, 1:])
 
 
-def evaluate(space: SplineSpace, u: float) -> BasisEvaluation:
-    """Values and first derivatives of the nonzero basis functions at ``u``.
-
-    Exactly ``degree + 1`` functions are nonzero on the span containing
-    ``u``; their values sum to one and their derivatives sum to zero.
-    """
-    first, values, derivatives = evaluate_many(space, [float(u)])
-    values, derivatives = values[0], derivatives[0]
-    values.flags.writeable = False
-    derivatives.flags.writeable = False
-    return BasisEvaluation(
-        first_index=int(first[0]), values=values, derivatives=derivatives
-    )
-
-
 def evaluate_functions(
     space: SplineSpace, indices, xs
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -139,26 +106,6 @@ def evaluate_functions(
     off = (j < 0) | (j > space.degree)
     pick = np.arange(len(first)), np.clip(j, 0, space.degree)
     return np.where(off, 0.0, values[pick]), np.where(off, 0.0, derivatives[pick])
-
-
-def value_of(space: SplineSpace, i: int, u: float) -> float:
-    """Value of basis function ``i`` at ``u`` (zero off its support)."""
-    return float(evaluate_functions(space, [i], [u])[0][0])
-
-
-def integral(space: SplineSpace, i: int) -> float:
-    """Integral of basis function ``i`` over its full support.
-
-    Equals ``(T[i+d+1] - T[i]) / (d+1)`` with ``T`` the expanded knot list;
-    on a unit element with full end multiplicities this is ``1/(d+1)``.
-    """
-    d = space.degree
-    T = space.expanded
-    if not 0 <= i < space.dimension:
-        raise IndexError(
-            f"basis index {i} out of range 0..{space.dimension - 1}"
-        )
-    return float(T[i + d + 1] - T[i]) / (d + 1)
 
 
 def integrals(space: SplineSpace) -> np.ndarray:
@@ -196,13 +143,15 @@ def integrals_up_to(space: SplineSpace, cutoff: float) -> np.ndarray:
     return out
 
 
-def eval_spline(space: SplineSpace, coeffs, u: float) -> float:
-    """Value at ``u`` of the spline with basis coefficients ``coeffs``."""
+def eval_spline(space: SplineSpace, coeffs, xs) -> np.ndarray:
+    """Values at the points ``xs`` of the spline with basis coefficients
+    ``coeffs``, as an array of shape ``np.shape(xs)``."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.dimension,):
         raise ValueError(
             f"expected {space.dimension} coefficients, got {coeffs.shape}"
         )
-    ev = evaluate(space, u)
-    lo = ev.first_index
-    return float(coeffs[lo : lo + space.degree + 1] @ ev.values)
+    xs = np.asarray(xs, dtype=float)
+    first, values, _ = evaluate_many(space, xs.ravel())
+    rows = first[:, None] + np.arange(space.degree + 1)
+    return (coeffs[rows] * values).sum(axis=1).reshape(xs.shape)

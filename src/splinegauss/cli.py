@@ -8,16 +8,18 @@ asymptotic  emit the infinite-domain pattern for a degree/continuity pair
 hybrid      combine traced boundary elements with the asymptotic interior
 assemble    build 1-D mass/stiffness matrices and report the savings
 
-Exit codes: 0 success, 2 invalid request (parity, bad arguments) or an
-output path that cannot be written, 3 trace stalled or a hybrid that
-cannot be assembled, 4 validation failed.  Errors are emitted as JSON on
-stderr.
+Exit codes: 0 success, 2 invalid request (parity, bad arguments, a
+tolerance that is not finite and positive, fewer than one validation
+sample) or an output path that cannot be written, 3 trace stalled or a
+hybrid that cannot be assembled, 4 validation failed.  Errors are emitted
+as JSON on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,11 +44,23 @@ DEFAULT_SEED = 20240704
 DEFAULT_SAMPLES = 100
 
 
-def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get(ENV_TOL)
-    return float(env) if env else DEFAULT_TOL
+def _check_options(args) -> None:
+    """Resolve ``args.tol`` from --tol, $SPLINEGAUSS_TOL or the default.
+
+    Raises ``ValueError`` for a tolerance that is not a finite positive
+    number and for ``--samples`` below one.
+    """
+    if "tol" in vars(args):
+        if args.tol is None:
+            env = os.environ.get(ENV_TOL)
+            try:
+                args.tol = float(env) if env else DEFAULT_TOL
+            except ValueError:
+                raise ValueError(f"{ENV_TOL}={env!r} is not a number") from None
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"tolerance must be finite and positive; got {args.tol}")
+    if vars(args).get("samples", 1) < 1:
+        raise ValueError(f"--samples must be at least 1; got {args.samples}")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -84,7 +98,6 @@ def _load_space(args) -> SplineSpace:
 
 
 def cmd_rule(args) -> int:
-    tol = _tolerance(args)
     try:
         space = _load_space(args)
     except (OSError, LookupError, TypeError, ValueError) as exc:
@@ -100,9 +113,9 @@ def cmd_rule(args) -> int:
         return _fail(
             3, "stalled", f"trace stalled at t={result.t_reached:.8f}"
         )
-    if doc.residual_norm is None or doc.residual_norm > tol:
+    if doc.residual_norm is None or doc.residual_norm > args.tol:
         return _fail(
-            4, "residual", f"residual norm {doc.residual_norm} above {tol}"
+            4, "residual", f"residual norm {doc.residual_norm} above {args.tol}"
         )
     return 0
 
@@ -120,8 +133,8 @@ def _random_spline_error(
     for _ in range(samples):
         coeffs = rng.uniform(0.0, 0.5, space.dimension)
         exact = float(coeffs @ ints)
-        # a 1 x (d+1) by (d+1) x 1 matmul runs the dot kernel of
-        # eval_spline, and cumsum adds in node order as rule.apply does
+        # one (d+1)-term dot per node, then a running sum in node order:
+        # the digits of the validate report depend on this arithmetic
         at_nodes = np.matmul(coeffs[rows][:, None, :], values[:, :, None])
         approx = float(np.cumsum(rule.weights * at_nodes[:, 0, 0])[-1])
         err = abs(approx - exact) / (np.linalg.norm(coeffs) * (b - a))
@@ -130,7 +143,7 @@ def _random_spline_error(
 
 
 def cmd_validate(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tol
     try:
         with open(args.rule) as fh:
             doc = RuleDocument.from_json(fh.read())
@@ -176,7 +189,6 @@ def cmd_asymptotic(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
-    tol = _tolerance(args)
     try:
         rule = hybrid_rule(
             args.degree, args.continuity, args.elements, args.boundary_depth
@@ -188,11 +200,11 @@ def cmd_hybrid(args) -> int:
     space = uniform_space(args.degree, args.continuity, args.elements)
     doc = RuleDocument.from_rule(rule, space)
     _emit(args, doc.to_csv() if args.format == "csv" else doc.to_json())
-    if rule.residual_norm is None or rule.residual_norm > tol:
+    if rule.residual_norm is None or rule.residual_norm > args.tol:
         return _fail(
             4,
             "residual",
-            f"hybrid residual norm {rule.residual_norm} above {tol}; "
+            f"hybrid residual norm {rule.residual_norm} above {args.tol}; "
             "increase --boundary-depth",
         )
     return 0
@@ -303,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _check_options(args)
+    except ValueError as exc:
+        return _fail(2, "invalid-option", str(exc))
     try:
         return args.func(args)
     except OSError as exc:

@@ -47,6 +47,14 @@ _TAIL_GAP = 1e-8
 # triggers the pre-clamped reduced finish instead of a stall.
 _LATE_FAILURE_TIME = 1.0 - 1e-3
 
+# Step-size factors after a corrector failure and after an easy step (at
+# most four Newton iterations).
+_SHRINK = 0.5
+_GROW = 1.5
+
+# Trailing weights at most this times (b - a) count as the degenerate limit.
+_LIMIT_WEIGHT_THRESHOLD = 1e-10
+
 
 class NewtonFailure(RuntimeError):
     """Corrector did not produce a root; ``cause`` names the reason."""
@@ -65,17 +73,14 @@ class TraceConfig:
     max_step: float = 5e-2
     newton_tol: float = 1e-14
     newton_max_iters: int = 25
-    shrink: float = 0.5
-    grow: float = 1.5
-    limit_weight_threshold: float = 1e-10
 
     def __post_init__(self):
         if not 0 < self.min_step <= self.initial_step <= self.max_step < 1:
             raise ValueError(
                 "need 0 < min_step <= initial_step <= max_step < 1"
             )
-        if self.newton_tol <= 0 or self.limit_weight_threshold <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
         if self.newton_max_iters < 1:
             raise ValueError("newton_max_iters must be at least 1")
 
@@ -283,29 +288,8 @@ def newton_correct(
     )
 
 
-def _strip_external(space: SplineSpace, b: float, r: int) -> SplineSpace:
-    """Target space recovered by dropping breakpoints beyond ``b``."""
-    from .knots import KnotVector
-
-    a = space.knots.a
-    edge = b + 1e-12 * (b - a)
-    keep = [k for k, x in enumerate(space.knots.breaks) if x <= edge]
-    dropped = space.knots.cardinality - sum(space.knots.mults[k] for k in keep)
-    if dropped != r:
-        raise RuntimeError(
-            f"internal error: expected {r} external knots, found {dropped}"
-        )
-    return SplineSpace(
-        space.degree,
-        KnotVector(
-            [space.knots.breaks[k] for k in keep],
-            [space.knots.mults[k] for k in keep],
-        ),
-    )
-
-
 def finalize_limit(
-    space_t1: SplineSpace,
+    target: SplineSpace,
     rule: QuadratureRule,
     r: int,
     cfg: TraceConfig | None = None,
@@ -313,10 +297,10 @@ def finalize_limit(
 ) -> QuadratureRule:
     """Resolve the degenerate end state into the reduced target rule.
 
-    The trailing ``r/2`` nodes (at ``b`` with vanished weights) and the
-    ``r`` basis functions without support in ``[a, b]`` are dropped, and
-    the remaining square system is Newton-solved on the exact target
-    space.  With ``r = 0`` the rule is returned unchanged.  ``force``
+    ``rule`` carries ``r/2`` more nodes than the optimal rule of
+    ``target``; its trailing ones (at ``b`` with vanished weights) are
+    dropped, and the remaining square system is Newton-solved on
+    ``target``.  With ``r = 0`` the rule is returned unchanged.  ``force``
     skips the degeneracy check; used when a late corrector failure makes
     the tracker clamp onto the limit early.
     """
@@ -330,23 +314,17 @@ def finalize_limit(
     tail_nodes = rule.nodes[-drop:]
     tail_weights = rule.weights[-drop:]
     near_b = np.all(b - tail_nodes <= 1e-6 * (b - a))
-    tiny_w = np.all(tail_weights <= cfg.limit_weight_threshold * (b - a))
+    tiny_w = np.all(tail_weights <= _LIMIT_WEIGHT_THRESHOLD * (b - a))
     if not (near_b or tiny_w or force):
         raise NewtonFailure(
             "not-degenerate",
             "trailing nodes/weights are not close to the boundary limit",
         )
-    target = _strip_external(space_t1, b, r)
-    # Supports must confirm that exactly r basis functions left [a, b].
-    gone = space_t1.dimension - target.dimension
-    if gone != r:
-        raise RuntimeError(
-            f"internal error: {gone} basis functions left the interval, "
-            f"expected {r}"
-        )
+    reduced = replace(rule, nodes=rule.nodes[:-drop], weights=rule.weights[:-drop])
+    _check_shapes(target, reduced)
     sys = _System(target, cutoff=b)
     nodes, weights, norm, _ = _newton(
-        sys, rule.interval, rule.nodes[:-drop], rule.weights[:-drop], cfg
+        sys, rule.interval, reduced.nodes, reduced.weights, cfg
     )
     meta = dict(rule.meta)
     meta["dropped_nodes"] = [float(x) for x in tail_nodes]
@@ -447,7 +425,7 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
     def finish_reduced(force: bool = False) -> TraceResult:
         pre = partial_rule()
         try:
-            rule = finalize_limit(space_at(path, 1.0), pre, r, cfg, force=force)
+            rule = finalize_limit(target, pre, r, cfg, force=force)
         except NewtonFailure:
             tr.failures += 1
             return result(pre, "stalled", tr.t)
@@ -471,7 +449,7 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
             nodes, weights, iters = tr.correct_at(t_next)
         except NewtonFailure:
             tr.failures += 1
-            dt *= cfg.shrink
+            dt *= _SHRINK
             if dt < cfg.min_step:
                 if r > 0 and tr.t > _LATE_FAILURE_TIME:
                     return finish_reduced(force=True)
@@ -479,7 +457,7 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
             continue
         tr.accept(t_next, nodes, weights)
         if iters <= 4:
-            dt = min(dt * cfg.grow, cfg.max_step)
+            dt = min(dt * _GROW, cfg.max_step)
         if tr.t >= 1.0:
             # with no surplus the state at t=1 is already the root
             return finish_reduced() if r > 0 else finish(partial_rule())

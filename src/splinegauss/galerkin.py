@@ -15,7 +15,7 @@ import numpy as np
 
 from . import basis
 from .gauss import composite_rule
-from .knots import KnotVector, SplineSpace
+from .knots import KnotVector, SplineSpace, open_space
 from .rules import QuadratureRule
 
 __all__ = [
@@ -61,17 +61,12 @@ def rule_space(spec: DiscretizationSpec) -> tuple[int, int]:
 
 def trial_space(spec: DiscretizationSpec, breaks) -> SplineSpace:
     """Open trial space of degree ``p`` and continuity ``k`` on the breaks."""
-    breaks = [float(x) for x in breaks]
-    mults = [spec.p + 1] + [spec.p - spec.k] * (len(breaks) - 2) + [spec.p + 1]
-    return SplineSpace(spec.p, KnotVector(breaks, mults))
+    return open_space(spec.p, spec.k, breaks)
 
 
 def quadrature_space(spec: DiscretizationSpec, breaks) -> SplineSpace:
     """Odd-degree space on the same breaks containing all weak-form terms."""
-    d, c = rule_space(spec)
-    breaks = [float(x) for x in breaks]
-    mults = [d + 1] + [d - c] * (len(breaks) - 2) + [d + 1]
-    return SplineSpace(d, KnotVector(breaks, mults))
+    return open_space(*rule_space(spec), breaks)
 
 
 def assemble(

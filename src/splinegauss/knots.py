@@ -20,6 +20,7 @@ __all__ = [
     "SplineSpace",
     "KnotPath",
     "ParityError",
+    "open_space",
     "uniform_space",
     "source_space",
     "knot_path",
@@ -150,6 +151,19 @@ class SplineSpace:
         return cls(int(doc["degree"]), KnotVector.from_dict(doc))
 
 
+def open_space(degree: int, continuity: int, breaks) -> SplineSpace:
+    """Open space on ``breaks`` with the same continuity at every interior
+    breakpoint: end multiplicities ``degree + 1``, interior ones
+    ``degree - continuity``.
+    """
+    if not -1 <= continuity <= degree - 1:
+        raise ValueError(
+            f"continuity must lie in [-1, degree-1]; got {continuity}"
+        )
+    mults = [degree + 1] + [degree - continuity] * (len(breaks) - 2) + [degree + 1]
+    return SplineSpace(degree, KnotVector(breaks, mults))
+
+
 def uniform_space(
     degree: int,
     continuity: int,
@@ -161,19 +175,12 @@ def uniform_space(
     Interior multiplicities are ``degree - continuity``; the default
     interval is ``[0, num_elements]`` so elements have unit width.
     """
-    if not -1 <= continuity <= degree - 1:
-        raise ValueError(
-            f"continuity must lie in [-1, degree-1]; got {continuity}"
-        )
     if num_elements < 1:
         raise ValueError("need at least one element")
     if interval is None:
         interval = (0.0, float(num_elements))
     a, b = map(float, interval)
-    breaks = np.linspace(a, b, num_elements + 1)
-    interior = degree - continuity
-    mults = [degree + 1] + [interior] * (num_elements - 1) + [degree + 1]
-    return SplineSpace(degree, KnotVector(breaks, mults))
+    return open_space(degree, continuity, np.linspace(a, b, num_elements + 1))
 
 
 def source_space(target: SplineSpace) -> SplineSpace:
@@ -196,10 +203,7 @@ def source_space(target: SplineSpace) -> SplineSpace:
             "nodes exists; for spaces of even uniform continuity choose an "
             "odd number of elements"
         )
-    n = math.ceil(dim / (d + 1))
-    a, b = target.interval
-    breaks = np.linspace(a, b, n + 1)
-    return SplineSpace(d, KnotVector(breaks, [d + 1] * (n + 1)))
+    return uniform_space(d, -1, math.ceil(dim / (d + 1)), target.interval)
 
 
 @dataclass(frozen=True)
@@ -268,15 +272,13 @@ def knot_path(source: SplineSpace, target: SplineSpace) -> KnotPath:
     )
 
 
-def space_at(path: KnotPath, t: float, degree: int | None = None) -> SplineSpace:
+def space_at(path: KnotPath, t: float) -> SplineSpace:
     """Spline space spanned by the path's knot multiset at time ``t``.
 
     Knots closer than the coincidence tolerance collapse into a single
     breakpoint whose multiplicity is the group size; a group larger than
     ``degree + 1`` indicates an invalid transformation and raises.
     """
-    if degree is None:
-        degree = path.degree
     knots = path.knots_at(t)
     a, b = path.interval
     tol = COINCIDENCE_REL_TOL * (b - a)
@@ -288,8 +290,8 @@ def space_at(path: KnotPath, t: float, degree: int | None = None) -> SplineSpace
         else:
             breaks.append(z)
             mults.append(1)
-    if any(m > degree + 1 for m in mults):
+    if any(m > path.degree + 1 for m in mults):
         raise ValueError(
             f"knot collapse produced multiplicity above degree+1 at t={t}"
         )
-    return SplineSpace(degree, KnotVector(breaks, mults))
+    return SplineSpace(path.degree, KnotVector(breaks, mults))

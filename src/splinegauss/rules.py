@@ -41,9 +41,10 @@ class QuadratureRule:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def apply(self, f: Callable[[float], float]) -> float:
-        """Approximate the integral of ``f`` over the interval."""
-        return float(sum(w * f(x) for x, w in zip(self.nodes, self.weights)))
+    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Approximate the integral of ``f``, which must map the array of
+        all nodes to the array of its values there (one call)."""
+        return float(self.weights @ f(self.nodes))
 
     def mapped_to(self, interval: tuple[float, float]) -> "QuadratureRule":
         """Affinely transplanted rule: nodes mapped, weights scaled."""

@@ -169,13 +169,13 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
     return out.getvalue()
 
 
-def matrix_to_triplets(matrix: np.ndarray, tol: float = 0.0) -> str:
-    """Coordinate text: ``i j value`` per line for entries above ``tol``."""
+def matrix_to_triplets(matrix: np.ndarray) -> str:
+    """Coordinate text: ``i j value`` per line for the nonzero entries."""
     out = io.StringIO()
     mat = np.atleast_2d(matrix)
     for i in range(mat.shape[0]):
         for j in range(mat.shape[1]):
             v = float(mat[i, j])
-            if abs(v) > tol:
+            if abs(v) > 0.0:
                 out.write(f"{i} {j} {v!r}\n")
     return out.getvalue()

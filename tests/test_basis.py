@@ -9,7 +9,6 @@ from splinegauss import (
     KnotVector,
     SplineSpace,
     eval_spline,
-    evaluate,
     knot_path,
     legendre_rule,
     source_space,
@@ -19,10 +18,8 @@ from splinegauss import (
 from splinegauss.basis import (
     evaluate_functions,
     evaluate_many,
-    integral,
     integrals,
     integrals_up_to,
-    value_of,
 )
 
 from oracles import bspline_value, heavy_gauss_integral
@@ -42,8 +39,8 @@ SPACES = {
 
 def dense_values(space, u):
     out = np.zeros(space.dimension)
-    ev = evaluate(space, u)
-    out[ev.first_index : ev.first_index + space.degree + 1] = ev.values
+    (first,), (values,), _ = evaluate_many(space, [u])
+    out[first : first + space.degree + 1] = values
     return out
 
 
@@ -102,10 +99,10 @@ def test_evaluate_many_rows_equal_scalar_evaluate(name):
     xs = probe_points(space, seed=29)
     first, values, derivatives = evaluate_many(space, xs)
     for p, u in enumerate(xs):
-        ev = evaluate(space, u)
-        assert ev.first_index == first[p]
-        assert ev.values.tobytes() == values[p].tobytes()
-        assert ev.derivatives.tobytes() == derivatives[p].tobytes()
+        one = evaluate_many(space, [u])
+        assert one[0][0] == first[p]
+        assert one[1][0].tobytes() == values[p].tobytes()
+        assert one[2][0].tobytes() == derivatives[p].tobytes()
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
@@ -117,17 +114,17 @@ def test_evaluate_many_rejects_one_point_outside(bad):
 
 def test_open_left_endpoint_interpolates():
     space = SPACES["source-septic"]
-    ev = evaluate(space, 0.0)
-    assert ev.first_index == 0
-    assert ev.values[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.all(np.abs(ev.values[1:]) <= 1e-15)
+    (first,), (values,), _ = evaluate_many(space, [0.0])
+    assert first == 0
+    assert values[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.abs(values[1:]) <= 1e-15)
 
 
 def test_right_end_uses_left_limit():
     space = SPACES["septic-c1"]
-    ev = evaluate(space, space.interval[1])
-    assert ev.first_index + space.degree == space.dimension - 1
-    assert ev.values[-1] == pytest.approx(1.0, abs=1e-15)
+    (first,), (values,), _ = evaluate_many(space, [space.interval[1]])
+    assert first + space.degree == space.dimension - 1
+    assert values[-1] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -146,9 +143,9 @@ def test_derivatives_match_finite_differences(name):
         up = dense_values(space, u + h)
         um = dense_values(space, u - h)
         fd = (up - um) / (2 * h)
-        ev = evaluate(space, u)
+        (first,), _, (derivatives,) = evaluate_many(space, [u])
         exact = np.zeros(space.dimension)
-        exact[ev.first_index : ev.first_index + space.degree + 1] = ev.derivatives
+        exact[first : first + space.degree + 1] = derivatives
         scale = max(1.0, np.abs(exact).max())
         assert np.abs(fd - exact).max() <= 1e-6 * scale
 
@@ -199,13 +196,13 @@ class TestIntegral:
     def test_unit_element_bernstein(self):
         space = SplineSpace(7, KnotVector([0.0, 1.0], [8, 8]))
         for i in range(space.dimension):
-            assert integral(space, i) == pytest.approx(1.0 / 8.0, abs=1e-16)
+            assert integrals(space)[i] == pytest.approx(1.0 / 8.0, abs=1e-16)
 
     def test_scaled_element(self):
         h = 0.37
         space = SplineSpace(7, KnotVector([0.0, h], [8, 8]))
         for i in range(space.dimension):
-            assert integral(space, i) == pytest.approx(h / 8.0, abs=1e-16)
+            assert integrals(space)[i] == pytest.approx(h / 8.0, abs=1e-16)
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_matches_heavy_quadrature(self, name):
@@ -215,14 +212,12 @@ class TestIntegral:
         spans = list(zip(space.knots.breaks, space.knots.breaks[1:]))
         for i in range(space.dimension):
             ref = heavy_gauss_integral(
-                lambda u: value_of(space, i, u), T[i], T[i + d + 1], spans=spans
+                lambda u: evaluate_functions(space, [i], [u])[0][0],
+                T[i],
+                T[i + d + 1],
+                spans=spans,
             )
-            assert integral(space, i) == pytest.approx(ref, abs=1e-13)
-
-    def test_index_range(self):
-        space = SPACES["cubic-simple"]
-        with pytest.raises(IndexError):
-            integral(space, space.dimension)
+            assert integrals(space)[i] == pytest.approx(ref, abs=1e-13)
 
     def test_dying_functions_lose_their_integral(self):
         # as the inner breakpoint merges into the right end, the trailing
@@ -247,7 +242,7 @@ class TestIntegral:
         got = integrals_up_to(space, cutoff)
         for i in range(space.dimension):
             ref = heavy_gauss_integral(
-                lambda u: value_of(space, i, u),
+                lambda u: evaluate_functions(space, [i], [u])[0][0],
                 T[i],
                 min(T[i + d + 1], cutoff),
                 spans=spans,
@@ -290,9 +285,10 @@ class TestIntegral:
 
     def test_integrals_matches_per_index(self):
         space = SPACES["septic-c1"]
+        T, d = space.expanded, space.degree
         all_at_once = integrals(space)
         for i in range(space.dimension):
-            assert all_at_once[i] == integral(space, i)
+            assert all_at_once[i] == float(T[i + d + 1] - T[i]) / (d + 1)
 
 
 class TestEvalSpline:
@@ -300,8 +296,10 @@ class TestEvalSpline:
         space = SPACES["quintic-c0"]
         coeffs = np.ones(space.dimension)
         rng = np.random.default_rng(5)
-        for u in rng.uniform(*space.interval, 100):
-            assert eval_spline(space, coeffs, u) == pytest.approx(1.0, abs=1e-13)
+        xs = rng.uniform(*space.interval, 100)
+        values = eval_spline(space, coeffs, xs)
+        assert values.shape == xs.shape
+        assert np.all(np.abs(values - 1.0) <= 1e-13)
 
     def test_endpoint_coefficient(self):
         space = SPACES["septic-c1"]
@@ -317,7 +315,9 @@ class TestEvalSpline:
         coeffs = rng.uniform(-1.0, 1.0, space.dimension)
         spans = list(zip(space.knots.breaks, space.knots.breaks[1:]))
         ref = heavy_gauss_integral(
-            lambda u: eval_spline(space, coeffs, u), *space.interval, spans=spans
+            lambda u: float(eval_spline(space, coeffs, u)),
+            *space.interval,
+            spans=spans,
         )
         assert float(coeffs @ integrals(space)) == pytest.approx(ref, abs=1e-13)
 
@@ -326,8 +326,18 @@ class TestEvalSpline:
         with pytest.raises(ValueError, match="coefficients"):
             eval_spline(space, np.ones(3), 0.5)
 
+    def test_keeps_the_shape_of_the_points(self):
+        space = SPACES["mixed-mults"]
+        coeffs = np.random.default_rng(23).uniform(-1.0, 1.0, space.dimension)
+        grid = np.linspace(*space.interval, 12).reshape(3, 4)
+        values = eval_spline(space, coeffs, grid)
+        assert values.shape == (3, 4)
+        assert eval_spline(space, coeffs, 0.5).shape == ()
+        for u, v in zip(grid.ravel(), values.ravel()):
+            assert v == pytest.approx(dense_values(space, u) @ coeffs, abs=1e-15)
+
 
 def test_outside_domain_rejected():
     space = SPACES["septic-c1"]
     with pytest.raises(ValueError, match="outside"):
-        evaluate(space, 1.5)
+        eval_spline(space, np.ones(space.dimension), [0.5, 1.5])

@@ -258,6 +258,51 @@ class TestHybridCommand:
         assert "optimal count" in payload["message"]
 
 
+class TestInvalidOptions:
+    # argv and $SPLINEGAUSS_TOL (None leaves it unset) of each bad request
+    CASES = {
+        "tol-nan": (["hybrid", "-d", "5", "-c", "2", "-N", "31",
+                     "--boundary-depth", "1", "--tol", "nan"], None),
+        "tol-inf": (["rule", "-d", "5", "-c", "1", "-N", "4", "--tol", "inf"],
+                    None),
+        "tol-zero": (["rule", "-d", "5", "-c", "1", "-N", "4", "--tol", "0"],
+                     None),
+        "tol-negative": (["validate", "{doc}", "--tol=-1e-12"], None),
+        "env-not-a-number": (["rule", "-d", "5", "-c", "1", "-N", "4"], "abc"),
+        "env-nan": (["hybrid", "-d", "5", "-c", "0", "-N", "11",
+                     "--boundary-depth", "1"], "nan"),
+        "env-negative": (["validate", "{doc}"], "-1"),
+        "samples-zero": (["validate", "{doc}", "--samples", "0"], None),
+        "samples-negative": (["validate", "{doc}", "--samples", "-1"], None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_json_error(self, capsys, monkeypatch, tmp_path, case):
+        doc = tmp_path / "rule.json"
+        assert run(
+            capsys, ["rule", "-d", "5", "-c", "0", "-N", "3", "-o", str(doc)]
+        )[0] == 0
+        argv, env = self.CASES[case]
+        if env is not None:
+            monkeypatch.setenv("SPLINEGAUSS_TOL", env)
+        code, out, err = run(capsys, [a.format(doc=doc) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-option"
+
+    def test_tolerance_from_either_source_is_reported(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        doc = tmp_path / "rule.json"
+        run(capsys, ["rule", "-d", "5", "-c", "0", "-N", "3", "-o", str(doc)])
+        _, out, _ = run(capsys, ["validate", str(doc), "--tol", "1e-11"])
+        assert json.loads(out)["tolerance"] == 1e-11
+        monkeypatch.setenv("SPLINEGAUSS_TOL", "2e-11")
+        _, out, _ = run(capsys, ["validate", str(doc), "--samples", "1"])
+        report = json.loads(out)
+        assert (report["tolerance"], report["samples"]) == (2e-11, 1)
+
+
 class TestUnwritableOutput:
     # every command, with its output pointed into a missing directory
     COMMANDS = {

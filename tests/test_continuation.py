@@ -206,11 +206,15 @@ class TestFinalizeLimit:
 
     def test_rejects_nondegenerate_state(self):
         target = uniform_space(7, 1, 2, (0.0, 1.0))
-        path = knot_path(source_space(target), target)
-        sp1 = space_at(path, 1.0)
         rule = source_rule(source_space(target))
         with pytest.raises(NewtonFailure, match="boundary limit"):
-            finalize_limit(sp1, rule, 2)
+            finalize_limit(target, rule, 2)
+
+    def test_rejects_a_reduced_rule_that_does_not_fit_the_target(self):
+        target = uniform_space(7, 1, 2, (0.0, 1.0))
+        rule = source_rule(source_space(target))
+        with pytest.raises(ValueError, match="not square"):
+            finalize_limit(target, rule, 4, force=True)
 
 
 class TestTraceConfig:
