@@ -23,7 +23,7 @@ from . import basis
 from .continuation import residual_norm, trace
 from .gauss import legendre_rule
 from .knots import KnotVector, ParityError, SplineSpace, uniform_space
-from .rules import QuadratureRule
+from .rules import QuadratureRule, _converged
 
 __all__ = [
     "AsymptoticPattern",
@@ -32,8 +32,6 @@ __all__ = [
     "hybrid_rule",
     "pattern_residual",
 ]
-
-_SOLVE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -347,11 +345,12 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
             np.add.at(J, (rows, pair[node]), ws[widx[node]] * der * sign[node])
             return R, J
 
-        norm = np.inf
+        converged = False
         for _ in range(80):
             R, J = residual_jac(theta)
             norm = np.abs(R).max()
-            if norm <= _SOLVE_TOL:
+            converged = _converged(R, (0, period))
+            if converged:
                 break
             step = np.linalg.lstsq(J, -R, rcond=None)[0]
             scale = 1.0
@@ -364,7 +363,7 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
                 scale *= 0.5
             else:
                 break
-        if norm > _SOLVE_TOL:
+        if not converged:
             return None
         deltas, ws = theta[:n_deltas], theta[n_deltas:]
         if np.any(ws <= 1e-12):

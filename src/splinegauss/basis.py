@@ -26,13 +26,16 @@ def _spans(knots: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
     """Index ``k`` per point with ``knots[k] <= u < knots[k+1]``, full support.
 
     Valid evaluation points lie in ``[knots[degree], knots[n]]`` with
-    ``n = len(knots) - degree - 1``, widened by a relative fuzz of 1e-12;
-    at the right end of that region the last nonempty span is returned
-    (left-limit convention), and repeated knots are skipped.
+    ``n = len(knots) - degree - 1``, widened by a relative fuzz of 1e-12
+    plus eight ulps of its end point of larger magnitude, so a point one
+    ulp off an end is still inside; at the right end of that region the
+    last nonempty span is returned (left-limit convention), and repeated
+    knots are skipped.
     """
     d = degree
     lo_u, hi_u = float(knots[d]), float(knots[len(knots) - d - 1])
     fuzz = 1e-12 * max(1.0, abs(hi_u - lo_u))
+    fuzz += 8 * np.spacing(max(abs(lo_u), abs(hi_u)))
     inside = (xs >= lo_u - fuzz) & (xs <= hi_u + fuzz)
     if not inside.all():
         raise ValueError(

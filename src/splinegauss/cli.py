@@ -8,11 +8,12 @@ asymptotic  emit the infinite-domain pattern for a degree/continuity pair
 hybrid      combine traced boundary elements with the asymptotic interior
 assemble    build 1-D mass/stiffness matrices and report the savings
 
-Exit codes: 0 success, 2 invalid request (parity, bad arguments, a
+Exit codes: 0 success, 1 internal error (an exception no command
+handles), 2 invalid request (parity, bad or missing arguments, a
 tolerance that is not finite and positive, fewer than one validation
 sample) or an output path that cannot be written, 3 trace stalled or a
 hybrid that cannot be assembled, 4 validation failed.  Errors are emitted
-as JSON on stderr.
+as JSON on stderr; ``--help`` prints usage on stdout.
 """
 
 from __future__ import annotations
@@ -240,8 +241,16 @@ def cmd_assemble(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser that raises its errors, so that ``main`` reports them as JSON
+    instead of printing usage; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splinegauss",
         description="Optimal Gaussian quadrature rules for odd-degree "
         "spline spaces.",
@@ -314,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_options(args)
     except ValueError as exc:
         return _fail(2, "invalid-option", str(exc))
@@ -324,6 +333,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         # the commands catch their input errors; what is left is output
         return _fail(2, "unwritable-output", f"{type(exc).__name__}: {exc}")
+    except Exception as exc:
+        return _fail(1, "internal-error", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

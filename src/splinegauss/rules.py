@@ -9,6 +9,17 @@ import numpy as np
 
 __all__ = ["QuadratureRule"]
 
+# the rounding floor of the defects is 0.2-0.5 eps * max(|a|, |b|) (uniform
+# meshes, N = 11..2561), so this bound is reached and still means exact
+_EXACT = 4 * np.finfo(float).eps
+
+
+def _converged(defects: np.ndarray, interval: tuple[float, float]) -> bool:
+    """The convergence test of every solver: exactness defects at rounding
+    level, relative to the end points so that it moves with the interval."""
+    a, b = interval
+    return float(np.abs(defects).max()) <= _EXACT * max(abs(a), abs(b))
+
 
 @dataclass(frozen=True)
 class QuadratureRule:

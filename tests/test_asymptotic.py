@@ -203,6 +203,13 @@ class TestEveryPair:
         assert pattern_residual(pattern) <= 1e-14
         assert pattern.weights.sum() == pytest.approx(pattern.period, abs=1e-14)
 
+    @pytest.mark.parametrize("d, c", ALL_PAIRS)
+    def test_solver_stops_at_rounding(self, d, c):
+        # the solver's interval is one period: (0, period)
+        pattern = solve_asymptotic_system(d, c)
+        bound = 4 * np.finfo(float).eps * pattern.period
+        assert pattern_residual(pattern) <= bound
+
 
 class TestTraceInterior:
     """The middle period of a long uniform trace is the asymptotic pattern."""

@@ -233,6 +233,18 @@ class TestIntegral:
             assert upto[-1] == pytest.approx(h**2 / 4.0, rel=0.03)
             assert upto[-2] == pytest.approx(h / 4.0, rel=0.03)
 
+    def test_cutoff_one_ulp_past_the_supported_region(self):
+        # far from the origin the region's end rounds one ulp below b
+        b = 1e6 + 10
+        target = uniform_space(7, 2, 15, (1e6, b))
+        space = space_at(knot_path(source_space(target), target), 0.02)
+        T = space.expanded
+        end = T[len(T) - space.degree - 1]
+        assert end == np.nextafter(b, 0.0)
+        # basis values are at most one, so the sliver adds at most its width
+        gap = integrals_up_to(space, b) - integrals_up_to(space, end)
+        assert np.abs(gap).max() <= b - end
+
     def test_integrals_up_to_against_oracle(self):
         space = SPACES["mixed-mults"]
         cutoff = 0.55

@@ -126,6 +126,25 @@ class TestRuleCommand:
         assert code == 2
         assert json.loads(err)["error"] == "invalid-space"
 
+    # interval far from unit scale: exit code and the error kind, if any
+    INTERVALS = {
+        "wide": (["0", "1e5"], 0, None),
+        "narrow": (["0", "1e-4"], 0, None),
+        # knots near 1e6 carry an error of 1e-10, so the residual norm is
+        # about 2.2e-12, above the default 1e-12
+        "far-from-origin": (["1e6", "1000010"], 4, "residual"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INTERVALS))
+    def test_interval_scale(self, capsys, case):
+        interval, expect, kind = self.INTERVALS[case]
+        code, out, err = run(
+            capsys, ["rule", "-d", "5", "-c", "1", "-N", "10", "--interval", *interval]
+        )
+        assert code == expect
+        assert json.loads(out)["trace"]["status"] == "converged"
+        assert (json.loads(err)["error"] if err else None) == kind
+
     def test_custom_interval(self, capsys):
         code, out, _ = run(
             capsys,
@@ -274,6 +293,16 @@ class TestInvalidOptions:
         "env-negative": (["validate", "{doc}"], "-1"),
         "samples-zero": (["validate", "{doc}", "--samples", "0"], None),
         "samples-negative": (["validate", "{doc}", "--samples", "-1"], None),
+        # rejected by the argument parser
+        "degree-not-a-number": (["rule", "-d", "five"], None),
+        "tol-negative-separate": (["validate", "{doc}", "--tol", "-1e-12"], None),
+        "value-missing": (["rule", "-d", "5", "-c", "1", "-N"], None),
+        "required-missing": (["hybrid", "-d", "5", "-c", "0"], None),
+        "bad-choice": (["rule", "-d", "5", "-c", "1", "-N", "4", "--format",
+                        "xml"], None),
+        "unknown-option": (["asymptotic", "-d", "7", "-c", "1", "--fast"], None),
+        "unknown-command": (["tabulate"], None),
+        "no-command": ([], None),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -289,6 +318,27 @@ class TestInvalidOptions:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "invalid-option"
+
+    def test_help_prints_usage_on_stdout(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rule", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: splinegauss rule")
+        assert captured.err == ""
+
+    def test_uncaught_exception_exits_1_with_json_error(self, capsys, monkeypatch):
+        def broken(space):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("splinegauss.cli.trace", broken)
+        code, out, err = run(capsys, ["rule", "-d", "5", "-c", "1", "-N", "4"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "internal-error",
+            "message": "ZeroDivisionError: division by zero",
+        }
 
     def test_tolerance_from_either_source_is_reported(
         self, capsys, monkeypatch, tmp_path
