@@ -18,8 +18,6 @@ from .asymptotic import (
 )
 from .basis import eval_spline, integrals
 from .continuation import (
-    NewtonFailure,
-    TraceConfig,
     TraceResult,
     finalize_limit,
     jacobian,
@@ -49,7 +47,7 @@ from .knots import (
     space_at,
     uniform_space,
 )
-from .rules import QuadratureRule
+from .rules import NewtonFailure, QuadratureRule
 from .serialization import RuleDocument
 
 __version__ = "1.0.0"
@@ -66,7 +64,6 @@ __all__ = [
     "RuleDocument",
     "SavingsReport",
     "SplineSpace",
-    "TraceConfig",
     "TraceResult",
     "__version__",
     "assemble",

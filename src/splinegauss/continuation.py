@@ -20,10 +20,9 @@ import scipy.linalg
 from . import basis
 from .gauss import source_rule
 from .knots import KnotPath, SplineSpace, knot_path, source_space, space_at
-from .rules import QuadratureRule, _converged
+from .rules import NewtonFailure, QuadratureRule, _converged, _damped_newton
 
 __all__ = [
-    "TraceConfig",
     "TraceResult",
     "NewtonFailure",
     "residual",
@@ -48,38 +47,20 @@ _TAIL_GAP = 1e-8
 _LATE_FAILURE_TIME = 1.0 - 1e-3
 
 # Step-size factors after a corrector failure and after an easy step (at
-# most four Newton iterations).
+# most four Newton iterations), the first step and the step-size bounds.
 _SHRINK = 0.5
 _GROW = 1.5
+_INITIAL_STEP = 1e-2
+_MIN_STEP = 1e-10
+_MAX_STEP = 5e-2
+
+# Corrector caps: a failed step gives up fast, so the step size shrinks
+# instead of Newton grinding on a poor prediction.
+_NEWTON_MAX_ITERS = 25
+_HALVINGS = 10
 
 # Trailing weights at most this times (b - a) count as the degenerate limit.
 _LIMIT_WEIGHT_THRESHOLD = 1e-10
-
-
-class NewtonFailure(RuntimeError):
-    """Corrector did not produce a root; ``cause`` names the reason."""
-
-    def __init__(self, cause: str, message: str = ""):
-        super().__init__(message or cause)
-        self.cause = cause
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Step-size and corrector policy for the path tracker."""
-
-    initial_step: float = 1e-2
-    min_step: float = 1e-10
-    max_step: float = 5e-2
-    newton_max_iters: int = 25
-
-    def __post_init__(self):
-        if not 0 < self.min_step <= self.initial_step <= self.max_step < 1:
-            raise ValueError(
-                "need 0 < min_step <= initial_step <= max_step < 1"
-            )
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -221,76 +202,43 @@ def _in_domain(
 
 
 def _newton(
-    sys: _System,
-    interval: tuple[float, float],
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    cfg: TraceConfig,
+    sys: _System, interval: tuple[float, float], nodes: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Damped Newton from an in-domain guess: root, residual norm, iterations."""
-    if not _in_domain(nodes, weights, interval):
-        raise NewtonFailure("left-domain", "guess violates the node/weight box")
     m = len(nodes)
-    x = np.concatenate([nodes, weights])
-    f = sys.residual(x[:m], x[m:])
-    worst = np.abs(f).max()
-    for it in range(1, cfg.newton_max_iters + 1):
-        if _converged(f, interval):
-            return x[:m], x[m:], float(np.linalg.norm(f)) / sys.size, it - 1
+
+    def step(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         z = _solve_banded(*sys.jacobian_entries(x[:m], x[m:]), f)
-        step = -np.concatenate((z[0::2], z[1::2]))
-        in_domain_once = False
-        for _ in range(10):
-            trial = x + step
-            if _in_domain(trial[:m], trial[m:], interval):
-                in_domain_once = True
-                f_trial = sys.residual(trial[:m], trial[m:])
-                worst_trial = np.abs(f_trial).max()
-                if worst_trial < worst:
-                    x, f, worst = trial, f_trial, worst_trial
-                    break
-            step *= 0.5
-        else:
-            raise NewtonFailure(
-                "iteration-cap" if in_domain_once else "left-domain",
-                "damped step made no progress"
-                if in_domain_once
-                else "damped step could not stay in the domain",
-            )
-    if _converged(f, interval):
-        return x[:m], x[m:], float(np.linalg.norm(f)) / sys.size, cfg.newton_max_iters
-    raise NewtonFailure(
-        "iteration-cap",
-        f"no convergence in {cfg.newton_max_iters} iterations "
-        f"(max defect {worst:.3e})",
+        return -np.concatenate((z[0::2], z[1::2]))
+
+    x, f, iters = _damped_newton(
+        np.concatenate([nodes, weights]),
+        lambda x: sys.residual(x[:m], x[m:]),
+        step,
+        interval,
+        _NEWTON_MAX_ITERS,
+        _HALVINGS,
+        lambda x: _in_domain(x[:m], x[m:], interval),
     )
+    return x[:m], x[m:], float(np.linalg.norm(f)) / sys.size, iters
 
 
-def newton_correct(
-    space: SplineSpace, guess: QuadratureRule, cfg: TraceConfig | None = None
-) -> QuadratureRule:
+def newton_correct(space: SplineSpace, guess: QuadratureRule) -> QuadratureRule:
     """Polish a nearby guess into a root of the space's exactness system.
 
     Raises :class:`NewtonFailure` (cause ``singular``, ``iteration-cap`` or
     ``left-domain``) instead of returning an unconverged rule.
     """
-    cfg = cfg or TraceConfig()
     _check_shapes(space, guess)
     sys = _System(space, cutoff=guess.interval[1])
-    nodes, weights, norm, _ = _newton(
-        sys, guess.interval, guess.nodes, guess.weights, cfg
-    )
+    nodes, weights, norm, _ = _newton(sys, guess.interval, guess.nodes, guess.weights)
     return replace(
         guess, nodes=nodes, weights=weights, residual_norm=norm, meta=dict(guess.meta)
     )
 
 
 def finalize_limit(
-    target: SplineSpace,
-    rule: QuadratureRule,
-    r: int,
-    cfg: TraceConfig | None = None,
-    force: bool = False,
+    target: SplineSpace, rule: QuadratureRule, r: int, force: bool = False
 ) -> QuadratureRule:
     """Resolve the degenerate end state into the reduced target rule.
 
@@ -301,7 +249,6 @@ def finalize_limit(
     skips the degeneracy check; used when a late corrector failure makes
     the tracker clamp onto the limit early.
     """
-    cfg = cfg or TraceConfig()
     if r == 0:
         return rule
     if r % 2:
@@ -310,23 +257,20 @@ def finalize_limit(
     drop = r // 2
     tail_nodes = rule.nodes[-drop:]
     tail_weights = rule.weights[-drop:]
-    near_b = np.all(b - tail_nodes <= 1e-6 * (b - a))
-    tiny_w = np.all(tail_weights <= _LIMIT_WEIGHT_THRESHOLD * (b - a))
+    # the rounding of b bounds both from below, as in ``basis._spans``
+    ulps = 8 * np.spacing(max(abs(a), abs(b)))
+    near_b = np.all(b - tail_nodes <= 1e-6 * (b - a) + ulps)
+    tiny_w = np.all(tail_weights <= _LIMIT_WEIGHT_THRESHOLD * (b - a) + ulps)
     if not (near_b or tiny_w or force):
         raise NewtonFailure(
             "not-degenerate",
             "trailing nodes/weights are not close to the boundary limit",
         )
     reduced = replace(rule, nodes=rule.nodes[:-drop], weights=rule.weights[:-drop])
-    _check_shapes(target, reduced)
-    sys = _System(target, cutoff=b)
-    nodes, weights, norm, _ = _newton(
-        sys, rule.interval, reduced.nodes, reduced.weights, cfg
-    )
     meta = dict(rule.meta)
     meta["dropped_nodes"] = [float(x) for x in tail_nodes]
     meta["dropped_weights"] = [float(w) for w in tail_weights]
-    return replace(rule, nodes=nodes, weights=weights, residual_norm=norm, meta=meta)
+    return replace(newton_correct(target, reduced), meta=meta)
 
 
 @dataclass
@@ -334,7 +278,6 @@ class _Tracker:
     """Mutable state of one trace run."""
 
     path: KnotPath
-    cfg: TraceConfig
     t: float = 0.0
     t_prev: float = 0.0
     x: np.ndarray | None = None
@@ -365,12 +308,12 @@ class _Tracker:
         guess = self.predict(t_next)
         m = len(guess) // 2
         nodes, weights, _, iters = _newton(
-            sys, self.path.interval, guess[:m], guess[m:], self.cfg
+            sys, self.path.interval, guess[:m], guess[m:]
         )
         return nodes, weights, iters
 
 
-def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
+def trace(target: SplineSpace) -> TraceResult:
     """Compute the optimal rule for ``target`` by continuation.
 
     Builds the source space and its per-element Gauss rule, moves the
@@ -379,14 +322,13 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
     Stalls (step underflow before reaching the end) are reported through
     ``status``, never raised.
     """
-    cfg = cfg or TraceConfig()
     src = source_space(target)
     r = src.dimension - target.dimension
     path = knot_path(src, target)
     start = source_rule(src)
     a, b = target.interval
 
-    tr = _Tracker(path=path, cfg=cfg)
+    tr = _Tracker(path=path)
     tr.x = np.concatenate([start.nodes, start.weights])
 
     def result(rule: QuadratureRule, status: str, t_reached: float) -> TraceResult:
@@ -424,13 +366,13 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
     def finish_reduced(force: bool = False) -> TraceResult:
         pre = partial_rule()
         try:
-            rule = finalize_limit(target, pre, r, cfg, force=force)
+            rule = finalize_limit(target, pre, r, force=force)
         except NewtonFailure:
             tr.failures += 1
             return result(pre, "stalled", tr.t)
         return finish(rule)
 
-    dt = cfg.initial_step
+    dt = _INITIAL_STEP
     while True:
         remaining = 1.0 - tr.t
         if r == 0:
@@ -449,17 +391,17 @@ def trace(target: SplineSpace, cfg: TraceConfig | None = None) -> TraceResult:
         except NewtonFailure:
             tr.failures += 1
             dt *= _SHRINK
-            if dt < cfg.min_step:
+            if dt < _MIN_STEP:
                 if r > 0 and tr.t > _LATE_FAILURE_TIME:
                     return finish_reduced(force=True)
                 return result(partial_rule(), "stalled", tr.t)
             continue
         tr.accept(t_next, nodes, weights)
         if iters <= 4:
-            dt = min(dt * _GROW, cfg.max_step)
+            dt = min(dt * _GROW, _MAX_STEP)
         if tr.t >= 1.0:
-            # with no surplus the state at t=1 is already the root
-            return finish_reduced() if r > 0 else finish(partial_rule())
+            # only without surplus does t reach 1: the state is the root
+            return finish(partial_rule())
 
 
 def _valid_final(rule: QuadratureRule) -> bool:

@@ -258,11 +258,6 @@ def knot_path(source: SplineSpace, target: SplineSpace) -> KnotPath:
     ext = b + (b - a) / target.num_elements
     src = np.sort(source.expanded)
     tgt = np.sort(np.concatenate([target.expanded, np.full(r, ext)]))
-    if src.shape != tgt.shape:
-        raise RuntimeError(
-            "internal error: augmented target multiset does not match the "
-            "source cardinality"
-        )
     return KnotPath(
         degree=target.degree,
         source_knots=src,

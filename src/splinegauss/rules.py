@@ -1,4 +1,5 @@
-"""Quadrature rule container shared by the rule-producing modules."""
+"""Quadrature rule container shared by the rule-producing modules, and the
+convergence test and damped Newton iteration shared by their solvers."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureRule"]
+__all__ = ["NewtonFailure", "QuadratureRule"]
 
 # the rounding floor of the defects is 0.2-0.5 eps * max(|a|, |b|) (uniform
 # meshes, N = 11..2561), so this bound is reached and still means exact
@@ -19,6 +20,56 @@ def _converged(defects: np.ndarray, interval: tuple[float, float]) -> bool:
     level, relative to the end points so that it moves with the interval."""
     a, b = interval
     return float(np.abs(defects).max()) <= _EXACT * max(abs(a), abs(b))
+
+
+class NewtonFailure(RuntimeError):
+    """Corrector did not produce a root; ``cause`` names the reason."""
+
+    def __init__(self, cause: str, message: str = ""):
+        super().__init__(message or cause)
+        self.cause = cause
+
+
+def _damped_newton(x, residual, step, interval, max_iters, halvings, admissible=None):
+    """The damped Newton iteration of every solver: ``(x, f, iterations)``.
+
+    ``step(x, f)`` is the full step at ``x`` with ``f = residual(x)``; it is
+    halved up to ``halvings`` times until the trial is ``admissible`` (None
+    admits all) and lowers max |F|.  Stops on :func:`_converged`; raises
+    :class:`NewtonFailure` after ``max_iters`` or a step with no descent.
+    """
+    if admissible is not None and not admissible(x):
+        raise NewtonFailure("left-domain", "guess violates the node/weight box")
+    f = residual(x)
+    worst = np.abs(f).max()
+    for it in range(max_iters):
+        if _converged(f, interval):
+            return x, f, it
+        dx = step(x, f)
+        in_domain_once = False
+        for _ in range(halvings):
+            trial = x + dx
+            if admissible is None or admissible(trial):
+                in_domain_once = True
+                f_trial = residual(trial)
+                worst_trial = np.abs(f_trial).max()
+                if worst_trial < worst:
+                    x, f, worst = trial, f_trial, worst_trial
+                    break
+            dx = 0.5 * dx
+        else:
+            raise NewtonFailure(
+                "iteration-cap" if in_domain_once else "left-domain",
+                "damped step made no progress"
+                if in_domain_once
+                else "damped step could not stay in the domain",
+            )
+    if _converged(f, interval):
+        return x, f, max_iters
+    raise NewtonFailure(
+        "iteration-cap",
+        f"no convergence in {max_iters} iterations (max defect {worst:.3e})",
+    )
 
 
 @dataclass(frozen=True)

@@ -78,3 +78,12 @@ def test_far_from_the_origin_a_trace_converges_or_reports_a_stall(
     d, c, n = key
     space = uniform_space(d, c, n, (shift, shift + n * 10.0**log_scale))
     check_reported(space, trace(space))
+
+
+def test_short_interval_far_out_reaches_the_limit():
+    # 1e-6 (b - a) is below one ulp of b here; the limit test also allows
+    # the rounding of b, so the trailing node at b counts as degenerate
+    space = uniform_space(7, 1, 6, (-836000.0, -836000.0 + 1.04e-5))
+    res = trace(space)
+    assert res.converged
+    check_reported(space, res)

@@ -162,6 +162,14 @@ class TestSolver:
                 assert oa == pytest.approx(ob, abs=1e-13)
                 assert wa == pytest.approx(wb, abs=1e-13)
 
+    @pytest.mark.parametrize("pair", [(15, 0), (21, 4)])
+    def test_slow_pairs_solve_within_the_solver_caps(self, pair):
+        # (15, 0) takes 59 iterations; the tracker's caps of 25 iterations
+        # and 10 halvings leave both pairs unsolved
+        pattern = solve_asymptotic_system(*pair)
+        bound = 4 * np.finfo(float).eps * pattern.period
+        assert pattern_residual(pattern) <= bound
+
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValueError):
             solve_asymptotic_system(6, 1)

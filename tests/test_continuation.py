@@ -8,7 +8,6 @@ from splinegauss import (
     NewtonFailure,
     QuadratureRule,
     SplineSpace,
-    TraceConfig,
     TraceResult,
     asymptotic_rule,
     finalize_limit,
@@ -21,6 +20,7 @@ from splinegauss import (
     trace,
     uniform_space,
 )
+from splinegauss import continuation
 from splinegauss.basis import eval_spline, evaluate_many, integrals
 from splinegauss.continuation import _System
 from splinegauss.knots import knot_path, space_at
@@ -187,8 +187,9 @@ class TestNewtonCorrect:
             np.linspace(0.49, 0.51, m),
             np.full(m, 1.0 / m),
         )
-        with pytest.raises(NewtonFailure):
-            newton_correct(self.src, guess, TraceConfig(newton_max_iters=5))
+        with pytest.raises(NewtonFailure) as err:
+            newton_correct(self.src, guess)
+        assert err.value.cause == "left-domain"
 
 
 class TestFinalizeLimit:
@@ -218,12 +219,6 @@ class TestFinalizeLimit:
         rule = source_rule(source_space(target))
         with pytest.raises(ValueError, match="not square"):
             finalize_limit(target, rule, 4, force=True)
-
-
-class TestTraceConfig:
-    def test_step_ordering_validated(self):
-        with pytest.raises(ValueError):
-            TraceConfig(initial_step=0.1, max_step=0.01)
 
 
 class TestTrace:
@@ -271,17 +266,41 @@ class TestTrace:
             got = res.rule.apply(lambda u: eval_spline(space, coeffs, u))
             assert abs(got - exact) <= 1e-12 * np.linalg.norm(coeffs) * (b - a)
 
-    def test_stall_is_reported_not_raised(self):
-        cfg = TraceConfig(
-            initial_step=4e-2,
-            min_step=3.9e-2,
-            max_step=4e-2,
-            newton_max_iters=1,
-        )
-        res = trace(uniform_space(7, 1, 2, (0.0, 1.0)), cfg)
+    def test_stall_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(continuation, "_INITIAL_STEP", 4e-2)
+        monkeypatch.setattr(continuation, "_MIN_STEP", 3.9e-2)
+        monkeypatch.setattr(continuation, "_MAX_STEP", 4e-2)
+        monkeypatch.setattr(continuation, "_NEWTON_MAX_ITERS", 1)
+        res = trace(uniform_space(7, 1, 2, (0.0, 1.0)))
         assert res.status == "stalled"
         assert res.t_reached < 1.0
         assert res.newton_failures > 0
+
+    def test_late_failures_finish_through_the_forced_limit(self, monkeypatch):
+        # the corrector keeps failing close to t = 1 on this clustered mesh,
+        # so the step size underflows and the tracker clamps onto the limit
+        target = SplineSpace(
+            5,
+            KnotVector(
+                [0.0, 0.0601, 0.0631, 0.0759, 0.079, 0.1064, 0.2072, 0.2962,
+                 0.3857, 0.3982, 0.4223, 0.4235, 0.488, 0.5231, 0.5364, 0.5527,
+                 0.5773, 0.5995, 0.601, 0.6594, 0.7959, 1.0],
+                [6, 3, 5, 2, 2, 1, 5, 5, 5, 5, 4, 3, 2, 1, 3, 4, 4, 2, 5, 1, 2, 6],
+            ),
+        )
+        forced = []
+
+        def spy(target, rule, r, force=False):
+            forced.append(force)
+            return finalize_limit(target, rule, r, force=force)
+
+        monkeypatch.setattr(continuation, "finalize_limit", spy)
+        res = trace(target)
+        assert forced == [True]
+        assert res.converged and res.newton_failures > 0
+        a, b = target.interval
+        defects = residual(target, res.rule)
+        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
 
     def test_large_uniform_target_reaches_the_asymptotic_pattern(self):
         n = 160
