@@ -269,9 +269,10 @@ def _configs(d: int, c: int):
     0 padded onto the offsets.  A period of one element starts from
     equispaced offsets and equal weights; each element of a period of two
     starts from its own Gauss-Legendre rule mapped to [0, 1], and an element
-    with no nodes (c = d - 1) is skipped.  Preference is calibrated to the
-    layouts the finite-domain rules converge to: knot nodes appear where
-    ``c % 4 == 1``.
+    with no nodes (c = d - 1) is skipped.  A layout with a knot node comes
+    first where ``c % 4 == 1`` and last otherwise, as the finite-domain
+    rules of low degree suggest; yet for (17, 3), (19, 3), (21, 3) and
+    (21, 7) only the layout with a knot node converges.
     """
     # per element of the period: (knot nodes, midpoint nodes, pairs)
     if c % 2 == 1:
@@ -323,17 +324,18 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
     """Solve the per-period exactness system with a symmetric ansatz.
 
     Gauss-Newton on the constraints that the tiled rule integrates each
-    distinct periodic basis shape exactly, over the layouts and starts of
-    ``_configs``.  Reproduces the tabulated closed forms and covers further
-    pairs whose limit layout fits the symmetric ansatz.
+    distinct periodic basis shape exactly, trying each layout of
+    ``_configs`` once from its own start.  Reproduces the tabulated closed
+    forms and covers further pairs whose limit layout fits the symmetric
+    ansatz.
     """
     _validate_pair(d, c)
     period = 1 if c % 2 == 1 else 2
     space, shapes = _shape_space(d, c, period)
 
-    def solve_config(base, sign, pair, widx, delta0, w0, init_scale):
+    def solve_config(base, sign, pair, widx, delta0, w0):
         n_deltas = len(delta0)
-        theta = np.concatenate([delta0 * init_scale, w0])
+        theta = np.concatenate([delta0, w0])
 
         def place(th):  # node positions and weight unknowns
             deltas = np.append(th[:n_deltas], 0.0)
@@ -378,10 +380,9 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
         return AsymptoticPattern(d, c, period, positions[order], ws[widx][order])
 
     for config in _configs(d, c):
-        for init_scale in (1.0, 0.5, 1.5):
-            pattern = solve_config(*config, init_scale)
-            if pattern is not None:
-                return pattern
+        pattern = solve_config(*config)
+        if pattern is not None:
+            return pattern
     raise ValueError(
         f"no symmetric periodic layout converged for degree {d}, "
         f"continuity {c}"

@@ -37,6 +37,7 @@ from .galerkin import (
     trial_space,
 )
 from .knots import ParityError, SplineSpace, uniform_space
+from .rules import _defect_norm
 from .serialization import RuleDocument, matrix_to_csv, matrix_to_triplets
 
 ENV_TOL = "SPLINEGAUSS_TOL"
@@ -154,7 +155,7 @@ def cmd_validate(args) -> int:
     except (OSError, LookupError, TypeError, ValueError) as exc:
         # unreadable file or JSON, bad fields, nodes that do not fit the space
         return _fail(2, "malformed-document", f"{type(exc).__name__}: {exc}")
-    norm = float(np.linalg.norm(defects)) / space.dimension
+    norm = _defect_norm(defects)
     worst_idx = int(np.argmax(np.abs(defects)))
     spline_err = _random_spline_error(space, rule, args.samples, args.seed)
     a, b = space.interval

@@ -19,8 +19,9 @@ import scipy.linalg
 
 from . import basis
 from .gauss import source_rule
-from .knots import KnotPath, SplineSpace, knot_path, source_space, space_at
-from .rules import NewtonFailure, QuadratureRule, _converged, _damped_newton
+from .knots import SplineSpace, knot_path, source_space, space_at
+from .rules import NewtonFailure, QuadratureRule
+from .rules import _converged, _damped_newton, _defect_norm
 
 __all__ = [
     "TraceResult",
@@ -63,15 +64,20 @@ _HALVINGS = 10
 _LIMIT_WEIGHT_THRESHOLD = 1e-10
 
 
+def _recorded(key: str) -> property:
+    """Read-only view of ``rule.meta[key]``, the one record of a trace."""
+    return property(lambda result: result.rule.meta[key])
+
+
 @dataclass(frozen=True)
 class TraceResult:
-    """Outcome of a trace: the rule plus path statistics."""
+    """Outcome of a trace: the rule, whose ``meta`` records the path."""
 
     rule: QuadratureRule
-    steps_taken: int
-    newton_failures: int
-    t_reached: float
-    status: str  # "converged" | "stalled"
+    status = _recorded("status")  # "converged" | "stalled"
+    steps_taken = _recorded("steps")
+    newton_failures = _recorded("newton_failures")
+    t_reached = _recorded("t_reached")
 
     @property
     def converged(self) -> bool:
@@ -89,10 +95,6 @@ class _System:
 
     def __post_init__(self):
         self.integrals = basis.integrals_up_to(self.space, self.cutoff)
-
-    @property
-    def size(self) -> int:
-        return self.space.dimension
 
     def _basis_at(self, nodes: np.ndarray):
         """Rows, values and derivatives per node, kept for the last nodes:
@@ -131,7 +133,7 @@ class _System:
         """Dense Jacobian with the columns ordered nodes, then weights."""
         rows, cols, vals = self.jacobian_entries(nodes, weights)
         m = len(nodes)
-        jac = np.zeros((self.size, 2 * m))
+        jac = np.zeros((self.space.dimension, 2 * m))
         jac[rows, cols // 2 + (cols % 2) * m] = vals
         return jac
 
@@ -153,7 +155,7 @@ def residual(space: SplineSpace, rule: QuadratureRule) -> np.ndarray:
 
 def residual_norm(space: SplineSpace, rule: QuadratureRule) -> float:
     """Euclidean norm of the defects divided by the system dimension."""
-    return float(np.linalg.norm(residual(space, rule))) / space.dimension
+    return _defect_norm(residual(space, rule))
 
 
 def jacobian(space: SplineSpace, rule: QuadratureRule) -> np.ndarray:
@@ -202,17 +204,18 @@ def _in_domain(
 
 
 def _newton(
-    sys: _System, interval: tuple[float, float], nodes: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Damped Newton from an in-domain guess: root, residual norm, iterations."""
-    m = len(nodes)
+    sys: _System, interval: tuple[float, float], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Damped Newton from an in-domain guess ``x = (nodes, weights)``:
+    root, its defects, iterations."""
+    m = len(x) // 2
 
     def step(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         z = _solve_banded(*sys.jacobian_entries(x[:m], x[m:]), f)
         return -np.concatenate((z[0::2], z[1::2]))
 
-    x, f, iters = _damped_newton(
-        np.concatenate([nodes, weights]),
+    return _damped_newton(
+        x,
         lambda x: sys.residual(x[:m], x[m:]),
         step,
         interval,
@@ -220,7 +223,6 @@ def _newton(
         _HALVINGS,
         lambda x: _in_domain(x[:m], x[m:], interval),
     )
-    return x[:m], x[m:], float(np.linalg.norm(f)) / sys.size, iters
 
 
 def newton_correct(space: SplineSpace, guess: QuadratureRule) -> QuadratureRule:
@@ -231,36 +233,39 @@ def newton_correct(space: SplineSpace, guess: QuadratureRule) -> QuadratureRule:
     """
     _check_shapes(space, guess)
     sys = _System(space, cutoff=guess.interval[1])
-    nodes, weights, norm, _ = _newton(sys, guess.interval, guess.nodes, guess.weights)
+    x = np.concatenate([guess.nodes, guess.weights])
+    x, f, _ = _newton(sys, guess.interval, x)
+    m, norm = guess.num_nodes, _defect_norm(f)
     return replace(
-        guess, nodes=nodes, weights=weights, residual_norm=norm, meta=dict(guess.meta)
+        guess, nodes=x[:m], weights=x[m:], residual_norm=norm, meta=dict(guess.meta)
     )
 
 
 def finalize_limit(
-    target: SplineSpace, rule: QuadratureRule, r: int, force: bool = False
+    target: SplineSpace, rule: QuadratureRule, force: bool = False
 ) -> QuadratureRule:
     """Resolve the degenerate end state into the reduced target rule.
 
     ``rule`` carries ``r/2`` more nodes than the optimal rule of
-    ``target``; its trailing ones (at ``b`` with vanished weights) are
-    dropped, and the remaining square system is Newton-solved on
-    ``target``.  With ``r = 0`` the rule is returned unchanged.  ``force``
-    skips the degeneracy check; used when a late corrector failure makes
-    the tracker clamp onto the limit early.
+    ``target``, ``r = 2 * rule.num_nodes - target.dimension``; its trailing
+    ones (at ``b`` with vanished weights) are dropped, and the remaining
+    square system is Newton-solved on ``target``.  With ``r = 0`` the rule
+    is returned unchanged; a negative or odd ``r`` raises ValueError.
+    ``force`` skips the degeneracy check; used when a late corrector
+    failure makes the tracker clamp onto the limit early.
     """
+    r = 2 * rule.num_nodes - target.dimension
     if r == 0:
         return rule
-    if r % 2:
-        raise ValueError(f"surplus dimension must be even; got {r}")
+    if r < 0 or r % 2:
+        raise ValueError(f"surplus dimension must be even and positive; got {r}")
     a, b = rule.interval
     drop = r // 2
-    tail_nodes = rule.nodes[-drop:]
-    tail_weights = rule.weights[-drop:]
+    tau, omega = rule.nodes[-drop:], rule.weights[-drop:]  # the trailing ones
     # the rounding of b bounds both from below, as in ``basis._spans``
     ulps = 8 * np.spacing(max(abs(a), abs(b)))
-    near_b = np.all(b - tail_nodes <= 1e-6 * (b - a) + ulps)
-    tiny_w = np.all(tail_weights <= _LIMIT_WEIGHT_THRESHOLD * (b - a) + ulps)
+    near_b = np.all(b - tau <= 1e-6 * (b - a) + ulps)
+    tiny_w = np.all(omega <= _LIMIT_WEIGHT_THRESHOLD * (b - a) + ulps)
     if not (near_b or tiny_w or force):
         raise NewtonFailure(
             "not-degenerate",
@@ -268,49 +273,8 @@ def finalize_limit(
         )
     reduced = replace(rule, nodes=rule.nodes[:-drop], weights=rule.weights[:-drop])
     meta = dict(rule.meta)
-    meta["dropped_nodes"] = [float(x) for x in tail_nodes]
-    meta["dropped_weights"] = [float(w) for w in tail_weights]
+    meta.update(dropped_nodes=tau.tolist(), dropped_weights=omega.tolist())
     return replace(newton_correct(target, reduced), meta=meta)
-
-
-@dataclass
-class _Tracker:
-    """Mutable state of one trace run."""
-
-    path: KnotPath
-    t: float = 0.0
-    t_prev: float = 0.0
-    x: np.ndarray | None = None
-    x_prev: np.ndarray | None = None
-    steps: int = 0
-    failures: int = 0
-
-    def predict(self, t_next: float) -> np.ndarray:
-        if self.t == self.t_prev:
-            guess = np.array(self.x)
-        else:
-            slope = (self.x - self.x_prev) / (self.t - self.t_prev)
-            guess = self.x + slope * (t_next - self.t)
-        m = len(guess) // 2
-        a, b = self.path.interval
-        guess[:m] = np.clip(guess[:m], a, b)
-        guess[m:] = np.clip(guess[m:], 0.0, b - a)
-        return guess
-
-    def accept(self, t_next: float, nodes: np.ndarray, weights: np.ndarray):
-        self.t_prev, self.x_prev = self.t, self.x
-        self.t, self.x = t_next, np.concatenate([nodes, weights])
-        self.steps += 1
-
-    def correct_at(self, t_next: float) -> tuple[np.ndarray, np.ndarray, int]:
-        sp = space_at(self.path, t_next)
-        sys = _System(sp, cutoff=self.path.interval[1])
-        guess = self.predict(t_next)
-        m = len(guess) // 2
-        nodes, weights, _, iters = _newton(
-            sys, self.path.interval, guess[:m], guess[m:]
-        )
-        return nodes, weights, iters
 
 
 def trace(target: SplineSpace) -> TraceResult:
@@ -327,9 +291,12 @@ def trace(target: SplineSpace) -> TraceResult:
     path = knot_path(src, target)
     start = source_rule(src)
     a, b = target.interval
+    m = start.num_nodes
 
-    tr = _Tracker(path=path)
-    tr.x = np.concatenate([start.nodes, start.weights])
+    # the state: the root x = (nodes, weights) at t and the one before it
+    t = t_prev = 0.0
+    x = x_prev = np.concatenate([start.nodes, start.weights])
+    steps = failures = 0
 
     def result(rule: QuadratureRule, status: str, t_reached: float) -> TraceResult:
         meta = dict(rule.meta)
@@ -337,71 +304,67 @@ def trace(target: SplineSpace) -> TraceResult:
             provenance="traced",
             space=target.to_dict(),
             degree=target.degree,
-            steps=tr.steps,
-            newton_failures=tr.failures,
+            steps=steps,
+            newton_failures=failures,
             t_reached=t_reached,
             status=status,
             surplus=r,
         )
-        return TraceResult(
-            rule=replace(rule, meta=meta),
-            steps_taken=tr.steps,
-            newton_failures=tr.failures,
-            t_reached=t_reached,
-            status=status,
-        )
+        return TraceResult(replace(rule, meta=meta))
 
-    def partial_rule() -> QuadratureRule:
-        m = len(tr.x) // 2
-        return QuadratureRule(interval=(a, b), nodes=tr.x[:m], weights=tr.x[m:])
-
-    def finish(rule: QuadratureRule) -> TraceResult:
+    def finish(force: bool = False) -> TraceResult:
+        """Every end of the path but a mid-path stall: drop the surplus,
+        if any, then check the rule once."""
+        nonlocal failures
+        rule = QuadratureRule((a, b), x[:m], x[m:])
+        try:
+            rule = finalize_limit(target, rule, force=force)
+        except NewtonFailure:
+            failures += 1
+            return result(rule, "stalled", t)
         defects = residual(target, rule)
-        norm = float(np.linalg.norm(defects)) / target.dimension
-        rule = replace(rule, residual_norm=norm)
+        rule = replace(rule, residual_norm=_defect_norm(defects))
         if not (_converged(defects, (a, b)) and _valid_final(rule)):
-            return result(rule, "stalled", tr.t)
+            return result(rule, "stalled", t)
         return result(rule, "converged", 1.0)
 
-    def finish_reduced(force: bool = False) -> TraceResult:
-        pre = partial_rule()
-        try:
-            rule = finalize_limit(target, pre, r, force=force)
-        except NewtonFailure:
-            tr.failures += 1
-            return result(pre, "stalled", tr.t)
-        return finish(rule)
-
     dt = _INITIAL_STEP
-    while True:
-        remaining = 1.0 - tr.t
+    # only without surplus does t reach 1: the state is then the root
+    while t < 1.0:
         if r == 0:
-            t_next = min(tr.t + dt, 1.0)
+            t_next = min(t + dt, 1.0)
+        elif 1.0 - t <= _TAIL_GAP:
+            return finish()
+        elif t + dt >= 1.0 - _TAIL_GAP:
+            # geometric approach keeps the full system regular while the
+            # dying weights shrink toward the limit
+            t_next = max(1.0 - 0.1 * (1.0 - t), t + 0.5 * _TAIL_GAP)
         else:
-            if remaining <= _TAIL_GAP:
-                return finish_reduced()
-            if tr.t + dt >= 1.0 - _TAIL_GAP:
-                # geometric approach keeps the full system regular while
-                # the dying weights shrink toward the limit
-                t_next = max(1.0 - 0.1 * remaining, tr.t + 0.5 * _TAIL_GAP)
-            else:
-                t_next = tr.t + dt
+            t_next = t + dt
+        # secant predictor, clipped into the node/weight box
+        if t == t_prev:
+            guess = np.array(x)
+        else:
+            slope = (x - x_prev) / (t - t_prev)
+            guess = x + slope * (t_next - t)
+        guess[:m] = np.clip(guess[:m], a, b)
+        guess[m:] = np.clip(guess[m:], 0.0, b - a)
+        sys = _System(space_at(path, t_next), cutoff=b)
         try:
-            nodes, weights, iters = tr.correct_at(t_next)
+            x_next, _, iters = _newton(sys, (a, b), guess)
         except NewtonFailure:
-            tr.failures += 1
+            failures += 1
             dt *= _SHRINK
             if dt < _MIN_STEP:
-                if r > 0 and tr.t > _LATE_FAILURE_TIME:
-                    return finish_reduced(force=True)
-                return result(partial_rule(), "stalled", tr.t)
+                if r > 0 and t > _LATE_FAILURE_TIME:
+                    return finish(force=True)
+                return result(QuadratureRule((a, b), x[:m], x[m:]), "stalled", t)
             continue
-        tr.accept(t_next, nodes, weights)
+        t_prev, x_prev, t, x = t, x, t_next, x_next
+        steps += 1
         if iters <= 4:
             dt = min(dt * _GROW, _MAX_STEP)
-        if tr.t >= 1.0:
-            # only without surplus does t reach 1: the state is the root
-            return finish(partial_rule())
+    return finish()
 
 
 def _valid_final(rule: QuadratureRule) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import evaluate_many, integrals
 from .knots import SplineSpace
-from .rules import QuadratureRule, _converged
+from .rules import QuadratureRule, _converged, _defect_norm
 
 __all__ = ["ElementRule", "composite_rule", "legendre_rule", "source_rule"]
 
@@ -114,7 +114,7 @@ def source_rule(source: SplineSpace) -> QuadratureRule:
     first, values, _ = evaluate_many(source, nodes)
     defect = -integrals(source)
     np.add.at(defect, first[:, None] + np.arange(d + 1), weights[:, None] * values)
-    norm = float(np.linalg.norm(defect)) / source.dimension
+    norm = _defect_norm(defect)
     if not _converged(defect, source.interval):
         raise RuntimeError(f"source rule residual {norm:.3e} above rounding")
     return QuadratureRule(

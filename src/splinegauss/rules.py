@@ -1,5 +1,5 @@
 """Quadrature rule container shared by the rule-producing modules, and the
-convergence test and damped Newton iteration shared by their solvers."""
+convergence test, defect norm and damped Newton iteration of their solvers."""
 
 from __future__ import annotations
 
@@ -20,6 +20,11 @@ def _converged(defects: np.ndarray, interval: tuple[float, float]) -> bool:
     level, relative to the end points so that it moves with the interval."""
     a, b = interval
     return float(np.abs(defects).max()) <= _EXACT * max(abs(a), abs(b))
+
+
+def _defect_norm(defects: np.ndarray) -> float:
+    """The ``residual_norm`` every rule reports: ‖F‖₂ / dim."""
+    return float(np.linalg.norm(defects)) / len(defects)
 
 
 class NewtonFailure(RuntimeError):

@@ -170,6 +170,13 @@ class TestSolver:
         bound = 4 * np.finfo(float).eps * pattern.period
         assert pattern_residual(pattern) <= bound
 
+    def test_second_layout_solves_when_the_first_fails(self):
+        # c = 3 tries the layout without a knot node first; only the one
+        # with a knot node (offset 0) converges
+        pattern = solve_asymptotic_system(19, 3)
+        assert pattern.offsets[0] == 0.0
+        assert pattern_residual(pattern) <= 4 * np.finfo(float).eps * pattern.period
+
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValueError):
             solve_asymptotic_system(6, 1)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from splinegauss import continuation
 from splinegauss.cli import main
 
 from tracing import golden, golden_rows
@@ -120,6 +121,21 @@ class TestRuleCommand:
         code, _, err = run(capsys, ["rule", "-d", "5", "-c", "1", "-N", "4"])
         assert code == 4
         assert json.loads(err)["error"] == "residual"
+
+    def test_stall_exits_3_with_json_error(self, capsys, monkeypatch):
+        # the step constants of the library's stall test
+        monkeypatch.setattr(continuation, "_INITIAL_STEP", 4e-2)
+        monkeypatch.setattr(continuation, "_MIN_STEP", 3.9e-2)
+        monkeypatch.setattr(continuation, "_MAX_STEP", 4e-2)
+        monkeypatch.setattr(continuation, "_NEWTON_MAX_ITERS", 1)
+        code, out, err = run(
+            capsys, ["rule", "-d", "7", "-c", "1", "-N", "2", "--interval", "0", "1"]
+        )
+        assert code == 3
+        assert json.loads(out)["trace"]["status"] == "stalled"
+        payload = json.loads(err)
+        assert payload["error"] == "stalled"
+        assert payload["message"].startswith("trace stalled at t=")
 
     def test_missing_arguments(self, capsys):
         code, _, err = run(capsys, ["rule", "-d", "5"])

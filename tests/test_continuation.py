@@ -196,7 +196,7 @@ class TestFinalizeLimit:
     def test_no_surplus_is_identity(self):
         space = uniform_space(5, 1, 10)
         res = get_trace("d5_c1_N10")
-        assert finalize_limit(space, res.rule, 0) is res.rule
+        assert finalize_limit(space, res.rule) is res.rule
 
     def test_traced_limit_records_degenerate_pair(self):
         res = get_trace((7, 1, 2, (0.0, 1.0)))
@@ -212,13 +212,16 @@ class TestFinalizeLimit:
         target = uniform_space(7, 1, 2, (0.0, 1.0))
         rule = source_rule(source_space(target))
         with pytest.raises(NewtonFailure, match="boundary limit"):
-            finalize_limit(target, rule, 2)
+            finalize_limit(target, rule)
 
-    def test_rejects_a_reduced_rule_that_does_not_fit_the_target(self):
-        target = uniform_space(7, 1, 2, (0.0, 1.0))
-        rule = source_rule(source_space(target))
-        with pytest.raises(ValueError, match="not square"):
-            finalize_limit(target, rule, 4, force=True)
+    def test_rejects_a_surplus_that_is_negative_or_odd(self):
+        # r = 2 * nodes - dimension: 6 nodes on dimension 14, 7 on 13
+        full = source_rule(source_space(uniform_space(7, 1, 2, (0.0, 1.0))))
+        for c, keep, r in [(1, 6, -2), (2, 7, 1)]:
+            target = uniform_space(7, c, 2, (0.0, 1.0))
+            rule = QuadratureRule(full.interval, full.nodes[:keep], full.weights[:keep])
+            with pytest.raises(ValueError, match=f"got {r}$"):
+                finalize_limit(target, rule, force=True)
 
 
 class TestTrace:
@@ -276,6 +279,42 @@ class TestTrace:
         assert res.t_reached < 1.0
         assert res.newton_failures > 0
 
+    def test_a_limit_that_is_not_degenerate_stalls_with_the_surplus_kept(
+        self, monkeypatch
+    ):
+        target = uniform_space(7, 1, 2, (0.0, 1.0))
+        plain = get_trace((7, 1, 2, (0.0, 1.0)))
+
+        def refuse(target, rule, force=False):
+            if not force:
+                raise NewtonFailure("not-degenerate")
+            return finalize_limit(target, rule, force=force)
+
+        monkeypatch.setattr(continuation, "finalize_limit", refuse)
+        res = trace(target)
+        assert res.status == "stalled" and res.t_reached < 1.0
+        assert res.newton_failures == plain.newton_failures + 1
+        assert 2 * res.rule.num_nodes == source_space(target).dimension
+        assert res.rule.residual_norm is None
+        assert "dropped_nodes" not in res.rule.meta
+
+    def test_far_out_short_interval_stalls_at_a_nondegenerate_limit(self):
+        # the last dropped node sits 5.2e-10 from b with weight 8.7e-10,
+        # both above the 8-ulp allowance of 4.7e-10
+        space = uniform_space(9, 5, 8, (503801.77784693683, 503801.77784863446))
+        res = trace(space)
+        assert res.status == "stalled" and res.newton_failures == 1
+        assert 2 * res.rule.num_nodes == source_space(space).dimension
+        assert res.rule.residual_norm is None
+
+    def test_a_rule_the_final_check_rejects_stalls(self, monkeypatch):
+        monkeypatch.setattr(continuation, "_valid_final", lambda rule: False)
+        res = trace(uniform_space(5, 1, 4))
+        assert res.status == "stalled" and res.t_reached == 1.0
+        plain = get_trace((5, 1, 4)).rule
+        assert np.array_equal(res.rule.nodes, plain.nodes)
+        assert res.rule.residual_norm == plain.residual_norm
+
     def test_late_failures_finish_through_the_forced_limit(self, monkeypatch):
         # the corrector keeps failing close to t = 1 on this clustered mesh,
         # so the step size underflows and the tracker clamps onto the limit
@@ -290,9 +329,9 @@ class TestTrace:
         )
         forced = []
 
-        def spy(target, rule, r, force=False):
+        def spy(target, rule, force=False):
             forced.append(force)
-            return finalize_limit(target, rule, r, force=force)
+            return finalize_limit(target, rule, force=force)
 
         monkeypatch.setattr(continuation, "finalize_limit", spy)
         res = trace(target)
