@@ -2,8 +2,10 @@
 
 On a uniform grid the optimal rule far from the boundary repeats with a
 period of one element (odd continuity) or two elements (even continuity).
-Closed-form constants are tabulated where known; otherwise the periodic
-exactness system is solved directly.
+The pattern is the limit of the finite optimal rules.  Closed-form
+constants are tabulated where known; otherwise the periodic exactness
+system is solved once, from the layout and the start read off the middle
+of one traced uniform rule.
 
 ``_tile`` alone places the tiled pattern, for the pattern's nodes, the
 periodic residual and its Jacobian, and a hybrid rule's interior.  The
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import basis
 from .continuation import residual_norm, trace
-from .gauss import legendre_rule
 from .knots import KnotVector, ParityError, SplineSpace, uniform_space
 from .rules import NewtonFailure, QuadratureRule, _damped_newton
 
@@ -33,10 +34,9 @@ __all__ = [
     "pattern_residual",
 ]
 
-# Caps of the periodic solve, above the tracker's 25 / 10: (15, 0) takes 59
-# iterations, and (15, 0), (21, 1) and (21, 4) go unsolved at 25 / 10.
-_PATTERN_MAX_ITERS = 80
-_PATTERN_HALVINGS = 25
+# Elements of the uniform rule the periodic solve is seeded from; odd, so
+# that rule is symmetric about the centre of its middle element.
+_SEED_ELEMENTS = 13
 
 
 @dataclass(frozen=True)
@@ -258,135 +258,115 @@ def pattern_residual(pattern: AsymptoticPattern) -> float:
     return float(np.abs(defects[0]).max())
 
 
-def _configs(d: int, c: int):
-    """Candidate symmetric layouts of one period, preferred first.
+def _seed(d: int, c: int):
+    """Symmetric ansatz of one period and its start, read off a traced rule.
 
-    Yields, per layout, ``(base, sign, pair, widx, delta0, w0)``, arrays
-    over the period's nodes and the start of the unknowns.  Node ``i`` sits
-    at ``base[i] + sign[i] * delta[pair[i]]`` with weight ``w[widx[i]]``.
-    The two nodes of a pair share one offset unknown and one weight; a knot
-    or midpoint node is fixed, with sign 0 and ``pair`` pointing at a single
-    0 padded onto the offsets.  A period of one element starts from
-    equispaced offsets and equal weights; each element of a period of two
-    starts from its own Gauss-Legendre rule mapped to [0, 1], and an element
-    with no nodes (c = d - 1) is skipped.  A layout with a knot node comes
-    first where ``c % 4 == 1`` and last otherwise, as the finite-domain
-    rules of low degree suggest; yet for (17, 3), (19, 3), (21, 3) and
-    (21, 7) only the layout with a knot node converges.
+    The optimal rule on ``_SEED_ELEMENTS`` uniform elements is symmetric
+    about the centre of its middle element ``m``, where a node sits exactly
+    when the node count is odd.  Each element of the period holds knot
+    nodes, a midpoint node and mirrored pairs; each pair starts from the
+    offset and weight of its node left of the element's centre, and a knot
+    node from the weight of the node before the pairs.  With odd continuity
+    the period is element ``m`` alone; with even continuity it is elements
+    ``m`` and ``m + 1``, the one with more nodes first.
+
+    Returns arrays over the period's nodes ``(base, sign, pair, widx)`` and
+    the start of the unknowns ``(delta0, w0)``.  A pair's two nodes share
+    one offset unknown and one weight; a fixed knot or midpoint node has
+    sign 0 and ``pair`` -1, which picks a 0 padded onto the offsets.
     """
-    # per element of the period: (knot nodes, midpoint nodes, pairs)
+    N = _SEED_ELEMENTS
+    result = trace(uniform_space(d, c, N))
+    if not result.converged:
+        raise ValueError(
+            f"seed trace on {N} elements stalled at t={result.t_reached:.6f}"
+        )
+    xs, ws = result.rule.nodes, result.rule.weights
+    m, centre = (N - 1) // 2, len(xs) // 2
+    mid = len(xs) % 2
+    # per element of the period: (traced element, knot nodes, midpoint
+    # nodes, pairs, index of its first pair node)
     if c % 2 == 1:
-        s = (d - c) // 2
-        combos = [
-            (k0, m0)
-            for k0 in (0, 1)
-            for m0 in (0, 1)
-            if s - k0 - m0 >= 0 and (s - k0 - m0) % 2 == 0
-        ]
-        prefer_knot = c % 4 == 1
-        combos.sort(key=lambda km: (-km[0] if prefer_knot else km[0], -km[1]))
-        layouts = [[(k0, m0, (s - k0 - m0) // 2)] for k0, m0 in combos]
+        s = (d - c) // 2  # = knot + mid + 2 * pairs, at most one knot node
+        knot = (s - mid) % 2
+        pairs = (s - knot - mid) // 2
+        elements = [(m, knot, mid, pairs, centre - pairs)]
     else:
-        total = d - c  # odd: exactly one element of the period holds a mid
-        halves = (math.ceil(total / 2), total // 2)
-        layouts = [
-            [(0, n % 2, n // 2) for n in order] for order in (halves, halves[::-1])
+        total = d - c  # element m's count has the parity of its midpoint
+        count = next(n for n in (total // 2, total - total // 2) if n % 2 == mid)
+        rest = total - count
+        elements = [
+            (m, 0, mid, count // 2, centre - count // 2),
+            (m + 1, 0, rest % 2, rest // 2, centre + mid + count // 2),
         ]
-    for elements in layouts:
-        nodes, delta0, w0 = [], [], []  # nodes: (base, sign, pair, widx)
-        for e, (knot, mid, pairs) in enumerate(elements):
-            n = knot + mid + 2 * pairs
-            if n == 0:
-                continue
-            # start of pair j at index j, of a fixed node at index ``pairs``
-            if len(elements) == 1:
-                x_start = [(j + 1.0) / (2.0 * (pairs + 1)) for j in range(pairs)]
-                w_start = [1.0 / n] * (pairs + 1)
-            else:
-                # pairs take the lower Gauss nodes, a mid the centre one
-                g = legendre_rule(n)
-                x_start = 0.5 * (1.0 + g.nodes[:pairs])
-                w_start = 0.5 * g.weights
-            for b in [float(e)] * knot + [e + 0.5] * mid:
-                nodes.append((b, 0.0, -1, len(w0)))
-                w0.append(w_start[pairs])
-            for j in range(pairs):
-                nodes.append((float(e), 1.0, len(delta0), len(w0)))
-                nodes.append((e + 1.0, -1.0, len(delta0), len(w0)))
-                delta0.append(x_start[j])
-                w0.append(w_start[j])
-        base, sign, pair, widx = map(np.array, zip(*nodes))
-        pair[pair < 0] = len(delta0)
-        yield base, sign, pair, widx, np.array(delta0), np.array(w0)
+        if rest > count:
+            elements.reverse()
+    nodes, delta0, w0 = [], [], []  # nodes: (base, sign, pair, widx)
+    for e, (traced, knot, mid, pairs, first) in enumerate(elements):
+        for b, i in [(e, first - 1)] * knot + [(e + 0.5, first + pairs)] * mid:
+            nodes.append((float(b), 0.0, -1, len(w0)))
+            w0.append(ws[i])
+        for i in range(first, first + pairs):
+            nodes.append((float(e), 1.0, len(delta0), len(w0)))
+            nodes.append((e + 1.0, -1.0, len(delta0), len(w0)))
+            delta0.append(xs[i] - traced)
+            w0.append(ws[i])
+    base, sign, pair, widx = map(np.array, zip(*nodes))
+    return base, sign, pair, widx, np.array(delta0), np.array(w0)
 
 
+@lru_cache(maxsize=None)
 def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
     """Solve the per-period exactness system with a symmetric ansatz.
 
     Gauss-Newton on the constraints that the tiled rule integrates each
-    distinct periodic basis shape exactly, trying each layout of
-    ``_configs`` once from its own start.  Reproduces the tabulated closed
-    forms and covers further pairs whose limit layout fits the symmetric
-    ansatz.
+    distinct periodic basis shape exactly, from the layout and start that
+    :func:`_seed` reads off a traced finite rule, so the solve lands on the
+    limit of the finite optimal rules.  Reproduces the tabulated closed
+    forms.  Raises ValueError when the seed trace stalls or the solve fails.
     """
     _validate_pair(d, c)
     period = 1 if c % 2 == 1 else 2
     space, shapes = _shape_space(d, c, period)
+    base, sign, pair, widx, delta0, w0 = _seed(d, c)
+    n_deltas = len(delta0)
+    theta = np.concatenate([delta0, w0])
 
-    def solve_config(base, sign, pair, widx, delta0, w0):
-        n_deltas = len(delta0)
-        theta = np.concatenate([delta0, w0])
+    def place(th):  # node positions and weight unknowns
+        deltas = np.append(th[:n_deltas], 0.0)
+        return base + sign * deltas[pair], th[n_deltas:]
 
-        def place(th):  # node positions and weight unknowns
-            deltas = np.append(th[:n_deltas], 0.0)
-            return base + sign * deltas[pair], th[n_deltas:]
+    def residual_jac(th):
+        positions, ws = place(th)
+        R, rows, node, val, der = _tiled_defects(
+            space, shapes, period, positions, ws[widx]
+        )
+        J = np.zeros((len(shapes), len(th)))
+        np.add.at(J, (rows, n_deltas + widx[node]), val)
+        # a fixed node (sign 0, pair -1) adds exact zeros to the last column
+        np.add.at(J, (rows, pair[node]), ws[widx[node]] * der * sign[node])
+        return R, J
 
-        def residual_jac(th):
-            positions, ws = place(th)
-            R, rows, node, val, der = _tiled_defects(
-                space, shapes, period, positions, ws[widx]
-            )
-            J = np.zeros((len(shapes), len(th)))
-            np.add.at(J, (rows, n_deltas + widx[node]), val)
-            # a fixed node (sign 0) adds exact zeros to column n_deltas
-            np.add.at(J, (rows, pair[node]), ws[widx[node]] * der * sign[node])
-            return R, J
-
-        try:
-            theta = _damped_newton(
-                theta,
-                lambda th: residual_jac(th)[0],
-                lambda th, R: np.linalg.lstsq(residual_jac(th)[1], -R, rcond=None)[0],
-                (0, period),
-                _PATTERN_MAX_ITERS,
-                _PATTERN_HALVINGS,
-            )[0]
-        except NewtonFailure:
-            return None
-        deltas, ws = theta[:n_deltas], theta[n_deltas:]
-        if np.any(ws <= 1e-12):
-            return None
-        if n_deltas and (
-            np.any(deltas <= 1e-9)
-            or np.any(deltas >= 0.5 - 1e-9)
-            or (
-                n_deltas > 1
-                and np.min(np.abs(np.diff(np.sort(deltas)))) < 1e-9
-            )
-        ):
-            return None
-        positions, ws = place(theta)
-        order = np.argsort(positions)
-        return AsymptoticPattern(d, c, period, positions[order], ws[widx][order])
-
-    for config in _configs(d, c):
-        pattern = solve_config(*config)
-        if pattern is not None:
-            return pattern
-    raise ValueError(
-        f"no symmetric periodic layout converged for degree {d}, "
-        f"continuity {c}"
-    )
+    try:
+        theta = _damped_newton(
+            theta,
+            lambda th: residual_jac(th)[0],
+            lambda th, R: np.linalg.lstsq(residual_jac(th)[1], -R, rcond=None)[0],
+            (0, period),
+        )[0]
+    except NewtonFailure as exc:
+        raise ValueError(
+            f"periodic solve for degree {d}, continuity {c} failed "
+            f"({exc.cause}): {exc}"
+        ) from exc
+    positions, ws = place(theta)
+    if np.any(ws <= 1e-12):
+        raise ValueError(
+            f"periodic solve for degree {d}, continuity {c} produced a "
+            "non-positive weight"
+        )
+    order = np.argsort(positions)
+    return AsymptoticPattern(d, c, period, positions[order], ws[widx][order])
 
 
 def asymptotic_rule(d: int, c: int) -> AsymptoticPattern:

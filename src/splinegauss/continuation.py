@@ -55,11 +55,6 @@ _INITIAL_STEP = 1e-2
 _MIN_STEP = 1e-10
 _MAX_STEP = 5e-2
 
-# Corrector caps: a failed step gives up fast, so the step size shrinks
-# instead of Newton grinding on a poor prediction.
-_NEWTON_MAX_ITERS = 25
-_HALVINGS = 10
-
 # Trailing weights at most this times (b - a) count as the degenerate limit.
 _LIMIT_WEIGHT_THRESHOLD = 1e-10
 
@@ -219,8 +214,6 @@ def _newton(
         lambda x: sys.residual(x[:m], x[m:]),
         step,
         interval,
-        _NEWTON_MAX_ITERS,
-        _HALVINGS,
         lambda x: _in_domain(x[:m], x[m:], interval),
     )
 

@@ -14,6 +14,12 @@ __all__ = ["NewtonFailure", "QuadratureRule"]
 # meshes, N = 11..2561), so this bound is reached and still means exact
 _EXACT = 4 * np.finfo(float).eps
 
+# Caps of every Newton solve: a failed corrector step gives up fast, so the
+# tracker shrinks its step instead of grinding on a poor prediction; the
+# periodic solve, seeded from a traced rule, takes at most 4 iterations.
+_NEWTON_MAX_ITERS = 25
+_HALVINGS = 10
+
 
 def _converged(defects: np.ndarray, interval: tuple[float, float]) -> bool:
     """The convergence test of every solver: exactness defects at rounding
@@ -35,24 +41,25 @@ class NewtonFailure(RuntimeError):
         self.cause = cause
 
 
-def _damped_newton(x, residual, step, interval, max_iters, halvings, admissible=None):
+def _damped_newton(x, residual, step, interval, admissible=None):
     """The damped Newton iteration of every solver: ``(x, f, iterations)``.
 
     ``step(x, f)`` is the full step at ``x`` with ``f = residual(x)``; it is
-    halved up to ``halvings`` times until the trial is ``admissible`` (None
+    halved up to ``_HALVINGS`` times until the trial is ``admissible`` (None
     admits all) and lowers max |F|.  Stops on :func:`_converged`; raises
-    :class:`NewtonFailure` after ``max_iters`` or a step with no descent.
+    :class:`NewtonFailure` after ``_NEWTON_MAX_ITERS`` iterations or a step
+    with no descent.
     """
     if admissible is not None and not admissible(x):
         raise NewtonFailure("left-domain", "guess violates the node/weight box")
     f = residual(x)
     worst = np.abs(f).max()
-    for it in range(max_iters):
+    for it in range(_NEWTON_MAX_ITERS):
         if _converged(f, interval):
             return x, f, it
         dx = step(x, f)
         in_domain_once = False
-        for _ in range(halvings):
+        for _ in range(_HALVINGS):
             trial = x + dx
             if admissible is None or admissible(trial):
                 in_domain_once = True
@@ -70,10 +77,10 @@ def _damped_newton(x, residual, step, interval, max_iters, halvings, admissible=
                 else "damped step could not stay in the domain",
             )
     if _converged(f, interval):
-        return x, f, max_iters
+        return x, f, _NEWTON_MAX_ITERS
     raise NewtonFailure(
         "iteration-cap",
-        f"no convergence in {max_iters} iterations (max defect {worst:.3e})",
+        f"no convergence in {_NEWTON_MAX_ITERS} iterations (max defect {worst:.3e})",
     )
 
 

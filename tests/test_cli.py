@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from splinegauss import continuation
+from splinegauss import continuation, rules, solve_asymptotic_system
 from splinegauss.cli import main
 
 from tracing import golden, golden_rows
@@ -127,7 +127,7 @@ class TestRuleCommand:
         monkeypatch.setattr(continuation, "_INITIAL_STEP", 4e-2)
         monkeypatch.setattr(continuation, "_MIN_STEP", 3.9e-2)
         monkeypatch.setattr(continuation, "_MAX_STEP", 4e-2)
-        monkeypatch.setattr(continuation, "_NEWTON_MAX_ITERS", 1)
+        monkeypatch.setattr(rules, "_NEWTON_MAX_ITERS", 1)
         code, out, err = run(
             capsys, ["rule", "-d", "7", "-c", "1", "-N", "2", "--interval", "0", "1"]
         )
@@ -254,6 +254,20 @@ class TestAsymptoticCommand:
         code, _, err = run(capsys, ["asymptotic", "-d", "5", "-c", "5"])
         assert code == 2
         assert json.loads(err)["error"] == "unsupported"
+
+    def test_stalled_seed_trace_exits_2_with_json_error(self, capsys, monkeypatch):
+        # the step constants of the library's stall test
+        monkeypatch.setattr(continuation, "_INITIAL_STEP", 4e-2)
+        monkeypatch.setattr(continuation, "_MIN_STEP", 3.9e-2)
+        monkeypatch.setattr(continuation, "_MAX_STEP", 4e-2)
+        monkeypatch.setattr(rules, "_NEWTON_MAX_ITERS", 1)
+        solve_asymptotic_system.cache_clear()
+        code, out, err = run(capsys, ["asymptotic", "-d", "7", "-c", "1", "--solve"])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "unsupported"
+        assert payload["message"].startswith("seed trace on 13 elements stalled at t=")
 
 
 class TestHybridCommand:

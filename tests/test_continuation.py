@@ -20,7 +20,7 @@ from splinegauss import (
     trace,
     uniform_space,
 )
-from splinegauss import continuation
+from splinegauss import continuation, rules
 from splinegauss.basis import eval_spline, evaluate_many, integrals
 from splinegauss.continuation import _System
 from splinegauss.knots import knot_path, space_at
@@ -273,7 +273,7 @@ class TestTrace:
         monkeypatch.setattr(continuation, "_INITIAL_STEP", 4e-2)
         monkeypatch.setattr(continuation, "_MIN_STEP", 3.9e-2)
         monkeypatch.setattr(continuation, "_MAX_STEP", 4e-2)
-        monkeypatch.setattr(continuation, "_NEWTON_MAX_ITERS", 1)
+        monkeypatch.setattr(rules, "_NEWTON_MAX_ITERS", 1)
         res = trace(uniform_space(7, 1, 2, (0.0, 1.0)))
         assert res.status == "stalled"
         assert res.t_reached < 1.0
