@@ -171,11 +171,11 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
 
 def matrix_to_triplets(matrix: np.ndarray) -> str:
     """Coordinate text: ``i j value`` per line for the nonzero entries."""
-    out = io.StringIO()
     mat = np.atleast_2d(matrix)
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            v = float(mat[i, j])
-            if abs(v) > 0.0:
-                out.write(f"{i} {j} {v!r}\n")
-    return out.getvalue()
+    # row-major like the matrix; NaN and zeros of either sign fail the test
+    rows, cols = np.nonzero(np.abs(mat) > 0.0)
+    values = mat[rows, cols].tolist()
+    return "".join(
+        f"{i} {j} {float(v)!r}\n"
+        for i, j, v in zip(rows.tolist(), cols.tolist(), values)
+    )

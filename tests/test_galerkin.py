@@ -1,18 +1,24 @@
 """Galerkin assembly: space derivation, matrix identities, savings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from splinegauss import (
     DiscretizationSpec,
     KnotVector,
+    SavingsReport,
+    SplineSpace,
     assemble,
     classical_rule,
+    quadrature_space,
     rule_space,
     savings_report,
+    trace,
     trial_space,
 )
-from splinegauss.basis import integrals
+from splinegauss.basis import evaluate_many, integrals
 
 from tracing import get_trace
 
@@ -22,6 +28,28 @@ def uniform_mesh(spec, n, interval=None):
     breaks = np.linspace(a, b, n + 1)
     mults = [spec.p + 1] + [spec.p - spec.k] * (n - 1) + [spec.p + 1]
     return KnotVector(breaks, mults)
+
+
+def dense_reference(spec, mesh, rule):
+    """Mass and stiffness by one dense ``np.add.at`` per ``n × n`` matrix."""
+    space = SplineSpace(spec.p, mesh)
+    n = space.dimension
+    first, values, derivatives = evaluate_many(space, rule.nodes)
+    rows = first[:, None] + np.arange(spec.p + 1)
+    entries = (rows[:, :, None] * n + rows[:, None, :]).ravel()
+    w = rule.weights[:, None, None]
+
+    def gram(f):
+        out = np.zeros(n * n)
+        np.add.at(out, entries, (w * (f[:, :, None] * f[:, None, :])).ravel())
+        return out.reshape(n, n)
+
+    return gram(values), gram(derivatives)
+
+
+def rel_diff(x, y):
+    scale = np.abs(y).max()
+    return float(np.abs(x - y).max() / scale) if scale else 0.0
 
 
 class TestRuleSpace:
@@ -121,3 +149,71 @@ class TestOptimalVsClassical:
         assert report.mass_max_rel_diff <= 1e-12
         assert report.stiffness_max_rel_diff <= 1e-12
         assert report.to_dict()["evaluation_ratio"] < 0.8
+
+
+class TestBandedKernel:
+    """The banded assembly reproduces a dense scatter bit for bit."""
+
+    BREAKS = [0.0, 0.7, 1.0, 2.3, 2.9, 4.0, 4.4, 5.5]
+
+    def rules(self, spec):
+        traced = trace(quadrature_space(spec, self.BREAKS))
+        assert traced.converged
+        return {
+            "classical": classical_rule(spec.p, self.BREAKS),
+            "traced": traced.rule,
+        }
+
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_assemble_is_bitwise_the_dense_scatter(self, p, l):
+        spec = DiscretizationSpec(p, p - 1, l)
+        mesh = trial_space(spec, self.BREAKS).knots
+        for name, rule in self.rules(spec).items():
+            for got, ref in zip(
+                assemble(spec, mesh, rule), dense_reference(spec, mesh, rule)
+            ):
+                assert got.shape == ref.shape, name
+                assert got.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_savings_report_equals_the_dense_one(self, p, l):
+        spec = DiscretizationSpec(p, p - 1, l)
+        mesh = trial_space(spec, self.BREAKS).knots
+        rule = self.rules(spec)["traced"]
+        gauss = classical_rule(p, self.BREAKS)
+        m_opt, k_opt = dense_reference(spec, mesh, rule)
+        m_cl, k_cl = dense_reference(spec, mesh, gauss)
+        mid = (len(self.BREAKS) - 1) // 2
+        expect = SavingsReport(
+            spec=spec,
+            num_elements=len(self.BREAKS) - 1,
+            optimal_nodes=rule.num_nodes,
+            classical_nodes=gauss.num_nodes,
+            optimal_nodes_interior_element=int(
+                np.sum(
+                    (rule.nodes >= self.BREAKS[mid])
+                    & (rule.nodes < self.BREAKS[mid + 1])
+                )
+            ),
+            classical_nodes_per_element=p + 1,
+            mass_max_rel_diff=rel_diff(m_opt, m_cl),
+            stiffness_max_rel_diff=rel_diff(k_opt, k_cl),
+        )
+        report = savings_report(spec, mesh, rule=rule)
+        assert report == expect
+        assert report.to_dict() == expect.to_dict()
+
+    def test_savings_report_memory_grows_with_the_band(self):
+        # dense n × n matrices here would peak near 184 MB
+        spec = DiscretizationSpec(2, 1, 1)
+        mesh = uniform_mesh(spec, 2001)
+        rule = classical_rule(spec.p, mesh.breaks)
+        tracemalloc.start()
+        try:
+            savings_report(spec, mesh, rule=rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
