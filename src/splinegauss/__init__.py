@@ -24,6 +24,7 @@ from .continuation import (
     newton_correct,
     residual,
     residual_norm,
+    source_rule,
     trace,
 )
 from .galerkin import (
@@ -36,7 +37,7 @@ from .galerkin import (
     savings_report,
     trial_space,
 )
-from .gauss import ElementRule, legendre_rule, source_rule
+from .gauss import ElementRule, legendre_rule
 from .knots import (
     KnotPath,
     KnotVector,

@@ -336,24 +336,23 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
         deltas = np.append(th[:n_deltas], 0.0)
         return base + sign * deltas[pair], th[n_deltas:]
 
-    def residual_jac(th):
+    def system(th):
         positions, ws = place(th)
         R, rows, node, val, der = _tiled_defects(
             space, shapes, period, positions, ws[widx]
         )
-        J = np.zeros((len(shapes), len(th)))
-        np.add.at(J, (rows, n_deltas + widx[node]), val)
-        # a fixed node (sign 0, pair -1) adds exact zeros to the last column
-        np.add.at(J, (rows, pair[node]), ws[widx[node]] * der * sign[node])
-        return R, J
+
+        def step():
+            J = np.zeros((len(shapes), len(th)))
+            np.add.at(J, (rows, n_deltas + widx[node]), val)
+            # a fixed node (sign 0, pair -1) adds exact zeros to the last column
+            np.add.at(J, (rows, pair[node]), ws[widx[node]] * der * sign[node])
+            return np.linalg.lstsq(J, -R, rcond=None)[0]
+
+        return R, step
 
     try:
-        theta = _damped_newton(
-            theta,
-            lambda th: residual_jac(th)[0],
-            lambda th, R: np.linalg.lstsq(residual_jac(th)[1], -R, rcond=None)[0],
-            (0, period),
-        )[0]
+        theta = _damped_newton(theta, system, (0, period))[0]
     except NewtonFailure as exc:
         raise ValueError(
             f"periodic solve for degree {d}, continuity {c} failed "
@@ -446,8 +445,9 @@ def hybrid_rule(
             f"t={ref.t_reached:.6f}"
         )
 
-    cut = depth - 0.02  # safely between the last interior offset and a knot
-    left = ref.rule.nodes < cut
+    # boundary nodes lie below the knot at ``depth``; a node on that knot
+    # belongs to the interior, and the margin only absorbs its rounding
+    left = ref.rule.nodes < depth - 1e-6
     # the interior starts at the pattern element whose node count matches
     # the reference's element [depth, depth + 1)
     phase = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gauss import composite_rule
 from .knots import SplineSpace
 
 __all__ = [
@@ -125,8 +126,6 @@ def integrals_up_to(space: SplineSpace, cutoff: float) -> np.ndarray:
     supports are integrated span by span with a Gauss rule exact for the
     space's degree; supports entirely above contribute zero.
     """
-    from .gauss import composite_rule  # deferred: gauss depends on basis
-
     d = space.degree
     T = space.expanded
     out = integrals(space)

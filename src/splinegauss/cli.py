@@ -107,8 +107,11 @@ def cmd_rule(args) -> int:
         return _fail(2, "invalid-space", f"{type(exc).__name__}: {exc}")
     try:
         result = trace(space)
-    except (ParityError, ValueError) as exc:
+    except ParityError as exc:
         return _fail(2, "parity", str(exc))
+    except ValueError as exc:
+        # an even degree or a knot vector that is not open
+        return _fail(2, "invalid-space", str(exc))
     doc = RuleDocument.from_rule(result.rule, space)
     _emit(args, doc.to_csv() if args.format == "csv" else doc.to_json())
     if not result.converged:
@@ -195,7 +198,7 @@ def cmd_hybrid(args) -> int:
         rule = hybrid_rule(
             args.degree, args.continuity, args.elements, args.boundary_depth
         )
-    except (ParityError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(2, "invalid-request", str(exc))
     except RuntimeError as exc:
         return _fail(3, "hybrid-failed", str(exc))

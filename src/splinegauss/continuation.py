@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import basis
-from .gauss import source_rule
+from .gauss import composite_rule
 from .knots import SplineSpace, knot_path, source_space, space_at
 from .rules import NewtonFailure, QuadratureRule
 from .rules import _converged, _damped_newton, _defect_norm
@@ -31,6 +31,7 @@ __all__ = [
     "residual_norm",
     "newton_correct",
     "finalize_limit",
+    "source_rule",
     "trace",
 ]
 
@@ -86,51 +87,34 @@ class _System:
     space: SplineSpace
     cutoff: float
     integrals: np.ndarray = field(init=False)
-    _last: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.integrals = basis.integrals_up_to(self.space, self.cutoff)
 
-    def _basis_at(self, nodes: np.ndarray):
-        """Rows, values and derivatives per node, kept for the last nodes:
-        Newton takes the Jacobian where it has just taken the residual."""
-        if self._last is None or not np.array_equal(self._last[0], nodes):
-            first, values, derivatives = basis.evaluate_many(self.space, nodes)
-            rows = first[:, None] + np.arange(self.space.degree + 1)
-            self._last = (np.array(nodes), rows, values, derivatives)
-        return self._last[1:]
-
-    def residual(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        rows, values, _ = self._basis_at(nodes)
-        out = -np.array(self.integrals)
-        np.add.at(out, rows, weights[:, None] * values)
-        return out
-
-    def jacobian_entries(
-        self, nodes: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzeros of the Jacobian as ``(rows, columns, values)``.
+    def evaluate(self, nodes: np.ndarray, weights: np.ndarray):
+        """Defects at ``(nodes, weights)`` and a callable giving the
+        Jacobian's nonzeros ``(rows, columns, values)``, both from one
+        basis evaluation.
 
         Columns interleave the unknowns as ``(x0, w0, x1, w1, ...)``; node
         ``j`` touches only its ``degree + 1`` basis functions, so the
         entries fill a narrow band around the diagonal.
         """
-        rows, values, derivatives = self._basis_at(nodes)
-        even = np.arange(0, 2 * len(nodes), 2)
-        cols = np.repeat(np.concatenate((even, even + 1)), rows.shape[1])
-        return (
-            np.concatenate((rows, rows), axis=None),
-            cols,
-            np.concatenate((weights[:, None] * derivatives, values), axis=None),
-        )
+        first, values, derivatives = basis.evaluate_many(self.space, nodes)
+        rows = first[:, None] + np.arange(self.space.degree + 1)
+        defects = -self.integrals
+        np.add.at(defects, rows, weights[:, None] * values)
 
-    def jacobian(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Dense Jacobian with the columns ordered nodes, then weights."""
-        rows, cols, vals = self.jacobian_entries(nodes, weights)
-        m = len(nodes)
-        jac = np.zeros((self.space.dimension, 2 * m))
-        jac[rows, cols // 2 + (cols % 2) * m] = vals
-        return jac
+        def entries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            even = np.arange(0, 2 * len(nodes), 2)
+            cols = np.repeat(np.concatenate((even, even + 1)), rows.shape[1])
+            return (
+                np.concatenate((rows, rows), axis=None),
+                cols,
+                np.concatenate((weights[:, None] * derivatives, values), axis=None),
+            )
+
+        return defects, entries
 
 
 def _check_shapes(space: SplineSpace, rule: QuadratureRule) -> None:
@@ -145,7 +129,7 @@ def residual(space: SplineSpace, rule: QuadratureRule) -> np.ndarray:
     """Exactness defects ``Q[D_i] - I[D_i]`` over ``[a, b]``."""
     _check_shapes(space, rule)
     sys = _System(space, cutoff=rule.interval[1])
-    return sys.residual(rule.nodes, rule.weights)
+    return sys.evaluate(rule.nodes, rule.weights)[0]
 
 
 def residual_norm(space: SplineSpace, rule: QuadratureRule) -> float:
@@ -157,7 +141,11 @@ def jacobian(space: SplineSpace, rule: QuadratureRule) -> np.ndarray:
     """Dense derivative of the defects w.r.t. nodes then weights."""
     _check_shapes(space, rule)
     sys = _System(space, cutoff=rule.interval[1])
-    return sys.jacobian(rule.nodes, rule.weights)
+    rows, cols, vals = sys.evaluate(rule.nodes, rule.weights)[1]()
+    m = rule.num_nodes
+    jac = np.zeros((space.dimension, 2 * m))
+    jac[rows, cols // 2 + (cols % 2) * m] = vals
+    return jac
 
 
 def _solve_banded(
@@ -205,16 +193,17 @@ def _newton(
     root, its defects, iterations."""
     m = len(x) // 2
 
-    def step(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-        z = _solve_banded(*sys.jacobian_entries(x[:m], x[m:]), f)
-        return -np.concatenate((z[0::2], z[1::2]))
+    def system(x: np.ndarray):
+        f, entries = sys.evaluate(x[:m], x[m:])
+
+        def step() -> np.ndarray:
+            z = _solve_banded(*entries(), f)
+            return -np.concatenate((z[0::2], z[1::2]))
+
+        return f, step
 
     return _damped_newton(
-        x,
-        lambda x: sys.residual(x[:m], x[m:]),
-        step,
-        interval,
-        lambda x: _in_domain(x[:m], x[m:], interval),
+        x, system, interval, lambda x: _in_domain(x[:m], x[m:], interval)
     )
 
 
@@ -268,6 +257,32 @@ def finalize_limit(
     meta = dict(rule.meta)
     meta.update(dropped_nodes=tau.tolist(), dropped_weights=omega.tolist())
     return replace(newton_correct(target, reduced), meta=meta)
+
+
+def source_rule(source: SplineSpace) -> QuadratureRule:
+    """Optimal rule for a discontinuous odd-degree space: per-element Gauss.
+
+    Each of the ``n`` elements carries the ``(d+1)/2``-point rule mapped
+    affinely, giving ``n (d+1)/2`` nodes in ascending order.  The result is
+    checked to integrate every basis function to rounding level.
+    """
+    d = source.degree
+    if d % 2 == 0:
+        raise ValueError(f"source space degree must be odd; got {d}")
+    if any(m != d + 1 for m in source.knots.mults):
+        raise ValueError("source space must be discontinuous (all mults d+1)")
+    nodes, weights = composite_rule((d + 1) // 2, source.knots.breaks)
+    rule = QuadratureRule(
+        interval=source.interval,
+        nodes=nodes,
+        weights=weights,
+        meta={"provenance": "gauss", "degree": d, "space": source.to_dict()},
+    )
+    defects = residual(source, rule)
+    norm = _defect_norm(defects)
+    if not _converged(defects, source.interval):
+        raise RuntimeError(f"source rule residual {norm:.3e} above rounding")
+    return replace(rule, residual_norm=norm)
 
 
 def trace(target: SplineSpace) -> TraceResult:

@@ -3,7 +3,8 @@
 Nodes are Legendre roots found by Newton iteration from Chebyshev-type
 starting guesses; analytic weights follow from the derivative values.
 Mapped per element onto a discontinuous spline space these form the
-optimal source rule the continuation starts from.
+optimal source rule the continuation starts from
+(:func:`splinegauss.continuation.source_rule`).
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import evaluate_many, integrals
-from .knots import SplineSpace
-from .rules import QuadratureRule, _converged, _defect_norm
-
-__all__ = ["ElementRule", "composite_rule", "legendre_rule", "source_rule"]
+__all__ = ["ElementRule", "composite_rule", "legendre_rule"]
 
 _NEWTON_CAP = 100
 
@@ -93,35 +90,3 @@ def composite_rule(q: int, breaks) -> tuple[np.ndarray, np.ndarray]:
     xl, xr = breaks[:-1, None], breaks[1:, None]
     mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
     return (mid + half * elem.nodes).ravel(), (half * elem.weights).ravel()
-
-
-def source_rule(source: SplineSpace) -> QuadratureRule:
-    """Optimal rule for a discontinuous odd-degree space: per-element Gauss.
-
-    Each of the ``n`` elements carries the ``(d+1)/2``-point rule mapped
-    affinely, giving ``n (d+1)/2`` nodes in ascending order.  The result is
-    checked to integrate every basis function to rounding level.
-    """
-    d = source.degree
-    if d % 2 == 0:
-        raise ValueError(f"source space degree must be odd; got {d}")
-    if any(m != d + 1 for m in source.knots.mults):
-        raise ValueError("source space must be discontinuous (all mults d+1)")
-    nodes, weights = composite_rule((d + 1) // 2, source.knots.breaks)
-
-    # each node sees only the d+1 Bernstein functions of its own element,
-    # so the defects of the source system cost O(dim)
-    first, values, _ = evaluate_many(source, nodes)
-    defect = -integrals(source)
-    np.add.at(defect, first[:, None] + np.arange(d + 1), weights[:, None] * values)
-    norm = _defect_norm(defect)
-    if not _converged(defect, source.interval):
-        raise RuntimeError(f"source rule residual {norm:.3e} above rounding")
-    return QuadratureRule(
-        interval=source.interval,
-        nodes=nodes,
-        weights=weights,
-        residual_norm=norm,
-        meta={"provenance": "gauss", "degree": d, "space": source.to_dict()},
-    )
-

@@ -41,32 +41,33 @@ class NewtonFailure(RuntimeError):
         self.cause = cause
 
 
-def _damped_newton(x, residual, step, interval, admissible=None):
+def _damped_newton(x, system, interval, admissible=None):
     """The damped Newton iteration of every solver: ``(x, f, iterations)``.
 
-    ``step(x, f)`` is the full step at ``x`` with ``f = residual(x)``; it is
-    halved up to ``_HALVINGS`` times until the trial is ``admissible`` (None
-    admits all) and lowers max |F|.  Stops on :func:`_converged`; raises
-    :class:`NewtonFailure` after ``_NEWTON_MAX_ITERS`` iterations or a step
-    with no descent.
+    ``system(x)`` evaluates the system once and returns ``(f, step)``: the
+    defects at ``x`` and a callable giving the full Newton step there from
+    that same evaluation.  The step is halved up to ``_HALVINGS`` times
+    until the trial is ``admissible`` (None admits all) and lowers max |F|.
+    Stops on :func:`_converged`; raises :class:`NewtonFailure` after
+    ``_NEWTON_MAX_ITERS`` iterations or a step with no descent.
     """
     if admissible is not None and not admissible(x):
         raise NewtonFailure("left-domain", "guess violates the node/weight box")
-    f = residual(x)
+    f, step = system(x)
     worst = np.abs(f).max()
     for it in range(_NEWTON_MAX_ITERS):
         if _converged(f, interval):
             return x, f, it
-        dx = step(x, f)
+        dx = step()
         in_domain_once = False
         for _ in range(_HALVINGS):
             trial = x + dx
             if admissible is None or admissible(trial):
                 in_domain_once = True
-                f_trial = residual(trial)
+                f_trial, step_trial = system(trial)
                 worst_trial = np.abs(f_trial).max()
                 if worst_trial < worst:
-                    x, f, worst = trial, f_trial, worst_trial
+                    x, f, step, worst = trial, f_trial, step_trial, worst_trial
                     break
             dx = 0.5 * dx
         else:

@@ -14,6 +14,7 @@ from splinegauss import (
     solve_asymptotic_system,
     uniform_space,
 )
+from splinegauss import asymptotic
 from splinegauss.continuation import residual_norm
 
 from tracing import get_trace
@@ -172,6 +173,31 @@ class TestSolver:
         assert pattern_residual(pattern) <= bound
         assert np.all(pattern.weights > 0)
 
+    def test_each_evaluation_of_the_system_tiles_the_defects_once(
+        self, monkeypatch
+    ):
+        calls = {"system": 0, "tiled": 0}
+        damped_newton = asymptotic._damped_newton
+        tiled_defects = asymptotic._tiled_defects
+
+        def counted_newton(x, system, *args):
+            def counted(x):
+                calls["system"] += 1
+                return system(x)
+
+            return damped_newton(x, counted, *args)
+
+        def counted_tiled(*args):
+            calls["tiled"] += 1
+            return tiled_defects(*args)
+
+        monkeypatch.setattr(asymptotic, "_damped_newton", counted_newton)
+        monkeypatch.setattr(asymptotic, "_tiled_defects", counted_tiled)
+        solve_asymptotic_system.cache_clear()
+        solve_asymptotic_system(9, 4)
+        assert calls["system"] > 1
+        assert calls["tiled"] == calls["system"]
+
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValueError):
             solve_asymptotic_system(6, 1)
@@ -267,6 +293,16 @@ class TestHybrid:
     def test_matches_direct_trace(self):
         hybrid = hybrid_rule(5, 1, 10, 4)
         direct = get_trace("d5_c1_N10").rule
+        assert np.abs(hybrid.nodes - direct.nodes).max() <= 1e-12
+        assert np.abs(hybrid.weights - direct.weights).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [11, 13, 15])
+    def test_boundary_node_near_the_knot_is_kept(self, d):
+        # the last node of the first element lies within 0.02 of the knot
+        hybrid = hybrid_rule(d, 0, 21, 1)
+        direct = get_trace((d, 0, 21)).rule
+        assert np.max(hybrid.nodes[hybrid.nodes < 1.0]) > 0.98
+        assert hybrid.num_nodes == direct.num_nodes
         assert np.abs(hybrid.nodes - direct.nodes).max() <= 1e-12
         assert np.abs(hybrid.weights - direct.weights).max() <= 1e-12
 

@@ -56,6 +56,17 @@ class TestRuleCommand:
         assert payload["error"] == "parity"
         assert "odd number of elements" in payload["message"]
 
+    def test_space_without_an_optimal_rule_is_an_invalid_space(
+        self, capsys, tmp_path
+    ):
+        # an even degree, then a knot file whose end knots are not open
+        knots = tmp_path / "knots.json"
+        knots.write_text(json.dumps({**self.GOOD_KNOTS, "mults": [5, 4, 5]}))
+        for argv in (["-d", "4", "-c", "1", "-N", "10"], ["--knots", str(knots)]):
+            code, out, err = run(capsys, ["rule", *argv])
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "invalid-space"
+
     def test_knot_file_input(self, capsys, tmp_path):
         table = golden("d7_varying_N6")
         knots = tmp_path / "knots.json"
@@ -293,7 +304,18 @@ class TestHybridCommand:
         assert doc["residual_norm"] > 1e-12
 
 
-    @pytest.mark.parametrize("d, c", [(7, 6), (5, 4), (11, 0)])
+    def test_high_degree_hybrid_keeps_the_boundary_node_near_the_knot(
+        self, capsys
+    ):
+        # the last boundary node of degree 11 sits at 0.98007
+        code, out, _ = run(
+            capsys,
+            ["hybrid", "-d", "11", "-c", "0", "-N", "21", "--boundary-depth", "1"],
+        )
+        assert code == 0
+        assert len(json.loads(out)["nodes"]) == 116
+
+    @pytest.mark.parametrize("d, c", [(7, 6), (5, 4)])
     def test_unassemblable_hybrid_exits_3_with_json_error(self, capsys, d, c):
         code, out, err = run(
             capsys,

@@ -20,7 +20,7 @@ from splinegauss import (
     trace,
     uniform_space,
 )
-from splinegauss import continuation, rules
+from splinegauss import basis, continuation, rules
 from splinegauss.basis import eval_spline, evaluate_many, integrals
 from splinegauss.continuation import _System
 from splinegauss.knots import knot_path, space_at
@@ -118,7 +118,7 @@ class TestJacobian:
         jac = jacobian(space, rule)
         assert jac.tobytes() == expect.tobytes()
         sys = _System(space, cutoff=rule.interval[1])
-        rows, cols, vals = sys.jacobian_entries(rule.nodes, rule.weights)
+        rows, cols, vals = sys.evaluate(rule.nodes, rule.weights)[1]()
         interleaved = np.zeros_like(jac)
         interleaved[rows, cols] = vals
         order = np.arange(2 * m).reshape(2, m).T.ravel()  # x0, w0, x1, ...
@@ -128,7 +128,7 @@ class TestJacobian:
     def test_bandwidths_at_most_degree_at_golden_rules(self, name):
         space, rule = space_for(name), get_trace(name).rule
         sys = _System(space, cutoff=rule.interval[1])
-        rows, cols, _ = sys.jacobian_entries(rule.nodes, rule.weights)
+        rows, cols, _ = sys.evaluate(rule.nodes, rule.weights)[1]()
         assert (rows - cols).max() <= space.degree
         assert (cols - rows).max() <= space.degree
 
@@ -190,6 +190,33 @@ class TestNewtonCorrect:
         with pytest.raises(NewtonFailure) as err:
             newton_correct(self.src, guess)
         assert err.value.cause == "left-domain"
+
+    def test_each_evaluation_of_the_system_evaluates_the_basis_once(
+        self, monkeypatch
+    ):
+        calls = {"system": 0, "basis": 0}
+        damped_newton = continuation._damped_newton
+        evaluate_many = basis.evaluate_many
+
+        def counted_newton(x, system, *args):
+            def counted(x):
+                calls["system"] += 1
+                return system(x)
+
+            return damped_newton(x, counted, *args)
+
+        def counted_basis(*args):
+            calls["basis"] += 1
+            return evaluate_many(*args)
+
+        monkeypatch.setattr(continuation, "_damped_newton", counted_newton)
+        monkeypatch.setattr(basis, "evaluate_many", counted_basis)
+        rng = np.random.default_rng(1)
+        nodes = self.rule.nodes + rng.uniform(-1e-6, 1e-6, self.rule.num_nodes)
+        guess = QuadratureRule(self.rule.interval, nodes, self.rule.weights)
+        newton_correct(self.src, guess)
+        assert calls["system"] > 1
+        assert calls["basis"] == calls["system"]
 
 
 class TestFinalizeLimit:

@@ -1,5 +1,6 @@
-"""Every name in an ``__all__`` of the package resolves, and what the
-benchmark reads of the package is still there.
+"""Every name in an ``__all__`` of the package resolves, what the
+benchmark reads of the package is still there, and no two modules of the
+package import each other.
 
 Tools that walk ``__all__`` (star imports, the benchmark's per-layer
 tracer) fail on a name that was deleted but is still exported.  The
@@ -54,3 +55,34 @@ def test_trace_result_reads_its_record_from_the_rule():
         meta["newton_failures"],
     )
     assert res.converged == (meta["status"] == "converged")
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Names after ``splinegauss.`` of every import in ``module``, function
+    bodies included, read from its source."""
+    path = Path(splinegauss.__file__).with_name(f"{module}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import starts at the package: ``from . import basis``
+            package = "splinegauss" if node.level else None
+            base = ".".join(filter(None, [package, node.module]))
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            package, _, rest = name.partition(".")
+            if package == "splinegauss" and rest:
+                found.add(rest.partition(".")[0])
+    return found - {module}
+
+
+def test_no_two_package_modules_import_each_other():
+    names = [info.name for info in pkgutil.iter_modules(splinegauss.__path__)]
+    graph = {name: _imported_modules(name) & set(names) for name in names}
+    mutual = sorted(
+        (a, b) for a in graph for b in graph[a] if a < b and a in graph[b]
+    )
+    assert mutual == []
