@@ -24,7 +24,7 @@ import numpy as np
 from . import basis
 from .continuation import residual_norm, trace
 from .knots import KnotVector, ParityError, SplineSpace, uniform_space
-from .rules import NewtonFailure, QuadratureRule, _damped_newton
+from .rules import NewtonFailure, QuadratureRule, _damped_newton, _rounding_bound
 
 __all__ = [
     "AsymptoticPattern",
@@ -352,7 +352,7 @@ def solve_asymptotic_system(d: int, c: int) -> AsymptoticPattern:
         return R, step
 
     try:
-        theta = _damped_newton(theta, system, (0, period))[0]
+        theta = _damped_newton(theta, system, _rounding_bound((0, period)))[0]
     except NewtonFailure as exc:
         raise ValueError(
             f"periodic solve for degree {d}, continuity {c} failed "

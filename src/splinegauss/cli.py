@@ -28,12 +28,13 @@ import numpy as np
 
 from . import basis
 from .asymptotic import asymptotic_rule, hybrid_rule, solve_asymptotic_system
-from .continuation import residual, trace
+from .continuation import _residual_and_basis, trace
 from .galerkin import (
     DiscretizationSpec,
-    assemble,
+    _band_grams,
+    _dense,
+    _savings,
     quadrature_space,
-    savings_report,
     trial_space,
 )
 from .knots import ParityError, SplineSpace, uniform_space
@@ -126,14 +127,14 @@ def cmd_rule(args) -> int:
 
 
 def _random_spline_error(
-    space: SplineSpace, rule, samples: int, seed: int
+    space: SplineSpace, rule, rows, values, samples: int, seed: int
 ) -> float:
-    """Max relative quadrature error over random coefficient vectors."""
+    """Max relative quadrature error over random coefficient vectors, from
+    the basis values at the nodes: ``values[p, k]`` is function
+    ``rows[p, k]`` at node ``p``."""
     rng = np.random.default_rng(seed)
     ints = basis.integrals(space)
     a, b = space.interval
-    first, values, _ = basis.evaluate_many(space, rule.nodes)
-    rows = first[:, None] + np.arange(space.degree + 1)
     worst = 0.0
     for _ in range(samples):
         coeffs = rng.uniform(0.0, 0.5, space.dimension)
@@ -154,13 +155,15 @@ def cmd_validate(args) -> int:
             doc = RuleDocument.from_json(fh.read())
         space = doc.space()
         rule = doc.rule()
-        defects = residual(space, rule)
+        defects, rows, values = _residual_and_basis(space, rule)
     except (OSError, LookupError, TypeError, ValueError) as exc:
         # unreadable file or JSON, bad fields, nodes that do not fit the space
         return _fail(2, "malformed-document", f"{type(exc).__name__}: {exc}")
     norm = _defect_norm(defects)
     worst_idx = int(np.argmax(np.abs(defects)))
-    spline_err = _random_spline_error(space, rule, args.samples, args.seed)
+    spline_err = _random_spline_error(
+        space, rule, rows, values, args.samples, args.seed
+    )
     a, b = space.interval
     passed = bool(
         norm <= tol
@@ -229,12 +232,14 @@ def cmd_assemble(args) -> int:
             raise RuntimeError(
                 f"optimal-rule trace stalled at t={result.t_reached:.6f}"
             )
-        report = savings_report(spec, mesh, rule=result.rule)
+        # one assembly under the optimal rule feeds the report and the files
+        bands = _band_grams(spec, mesh, result.rule)
+        report = _savings(spec, mesh, result.rule, bands)
     except ParityError as exc:
         return _fail(2, "parity", str(exc))
     except (RuntimeError, ValueError) as exc:
         return _fail(3, "assembly-failed", str(exc))
-    mass, stiff = assemble(spec, mesh, result.rule)
+    mass, stiff = map(_dense, bands)
     writer = matrix_to_triplets if args.coo else matrix_to_csv
     prefix = args.out_prefix
     with open(f"{prefix}_mass.{'txt' if args.coo else 'csv'}", "w") as fh:

@@ -7,7 +7,9 @@ and a damped Newton corrector, which factors the banded Jacobian of the
 interleaved unknowns, advance the root as the knots travel; when
 the source carries surplus basis functions, the trailing nodes drift to
 ``b`` with vanishing weights and a reduced solve on the exact target
-space finishes the job.
+space finishes the job.  A root before ``t = 1`` only seeds the next
+step, so its corrector stops at the path accuracy ``_PATH_TOL * (b - a)``;
+the step that reaches ``t = 1`` and the reduced solve stop at rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import basis
 from .gauss import composite_rule
 from .knots import SplineSpace, knot_path, source_space, space_at
 from .rules import NewtonFailure, QuadratureRule
-from .rules import _converged, _damped_newton, _defect_norm
+from .rules import _converged, _damped_newton, _defect_norm, _rounding_bound
 
 __all__ = [
     "TraceResult",
@@ -58,6 +60,12 @@ _MAX_STEP = 5e-2
 
 # Trailing weights at most this times (b - a) count as the degenerate limit.
 _LIMIT_WEIGHT_THRESHOLD = 1e-10
+
+# A corrector solve before t = 1 stops once max |F| is at most this times
+# (b - a), or the rounding bound if that is larger: its root only seeds
+# the next step (the inexact corrector of Allgower & Georg).  The end of
+# the path is still solved to rounding.
+_PATH_TOL = 1e-8
 
 
 def _recorded(key: str) -> property:
@@ -102,8 +110,7 @@ class _System:
         """
         first, values, derivatives = basis.evaluate_many(self.space, nodes)
         rows = first[:, None] + np.arange(self.space.degree + 1)
-        defects = -self.integrals
-        np.add.at(defects, rows, weights[:, None] * values)
+        defects = self.defects(rows, values, weights)
 
         def entries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             even = np.arange(0, 2 * len(nodes), 2)
@@ -116,6 +123,15 @@ class _System:
 
         return defects, entries
 
+    def defects(
+        self, rows: np.ndarray, values: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Defects from the basis values at the nodes: ``values[p, k]`` is
+        function ``rows[p, k]`` at node ``p``."""
+        defects = -self.integrals
+        np.add.at(defects, rows, weights[:, None] * values)
+        return defects
+
 
 def _check_shapes(space: SplineSpace, rule: QuadratureRule) -> None:
     if space.dimension != 2 * rule.num_nodes:
@@ -127,9 +143,18 @@ def _check_shapes(space: SplineSpace, rule: QuadratureRule) -> None:
 
 def residual(space: SplineSpace, rule: QuadratureRule) -> np.ndarray:
     """Exactness defects ``Q[D_i] - I[D_i]`` over ``[a, b]``."""
+    return _residual_and_basis(space, rule)[0]
+
+
+def _residual_and_basis(space: SplineSpace, rule: QuadratureRule):
+    """:func:`residual` and the basis evaluation it came from, for a caller
+    that needs both: ``(defects, rows, values)`` as in
+    :meth:`_System.defects`."""
     _check_shapes(space, rule)
+    first, values, _ = basis.evaluate_many(space, rule.nodes)
+    rows = first[:, None] + np.arange(space.degree + 1)
     sys = _System(space, cutoff=rule.interval[1])
-    return sys.evaluate(rule.nodes, rule.weights)[0]
+    return sys.defects(rows, values, rule.weights), rows, values
 
 
 def residual_norm(space: SplineSpace, rule: QuadratureRule) -> float:
@@ -187,10 +212,10 @@ def _in_domain(
 
 
 def _newton(
-    sys: _System, interval: tuple[float, float], x: np.ndarray
+    sys: _System, interval: tuple[float, float], x: np.ndarray, bound: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton from an in-domain guess ``x = (nodes, weights)``:
-    root, its defects, iterations."""
+    """Damped Newton from an in-domain guess ``x = (nodes, weights)`` until
+    max |F| <= ``bound``: root, its defects, iterations."""
     m = len(x) // 2
 
     def system(x: np.ndarray):
@@ -203,7 +228,7 @@ def _newton(
         return f, step
 
     return _damped_newton(
-        x, system, interval, lambda x: _in_domain(x[:m], x[m:], interval)
+        x, system, bound, lambda x: _in_domain(x[:m], x[m:], interval)
     )
 
 
@@ -216,7 +241,7 @@ def newton_correct(space: SplineSpace, guess: QuadratureRule) -> QuadratureRule:
     _check_shapes(space, guess)
     sys = _System(space, cutoff=guess.interval[1])
     x = np.concatenate([guess.nodes, guess.weights])
-    x, f, _ = _newton(sys, guess.interval, x)
+    x, f, _ = _newton(sys, guess.interval, x, _rounding_bound(guess.interval))
     m, norm = guess.num_nodes, _defect_norm(f)
     return replace(
         guess, nodes=x[:m], weights=x[m:], residual_norm=norm, meta=dict(guess.meta)
@@ -300,6 +325,8 @@ def trace(target: SplineSpace) -> TraceResult:
     start = source_rule(src)
     a, b = target.interval
     m = start.num_nodes
+    rounding = _rounding_bound((a, b))
+    path_bound = max(_PATH_TOL * (b - a), rounding)
 
     # the state: the root x = (nodes, weights) at t and the one before it
     t = t_prev = 0.0
@@ -359,7 +386,8 @@ def trace(target: SplineSpace) -> TraceResult:
         guess[m:] = np.clip(guess[m:], 0.0, b - a)
         sys = _System(space_at(path, t_next), cutoff=b)
         try:
-            x_next, _, iters = _newton(sys, (a, b), guess)
+            bound = rounding if t_next == 1.0 else path_bound
+            x_next, _, iters = _newton(sys, (a, b), guess, bound)
         except NewtonFailure:
             failures += 1
             dt *= _SHRINK

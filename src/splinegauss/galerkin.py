@@ -193,7 +193,17 @@ def savings_report(
     the maximum relative matrix discrepancies (both quadratures are exact
     for the integrands, so the matrices agree to rounding).
     """
-    m_opt, k_opt = _band_grams(spec, mesh, rule)
+    return _savings(spec, mesh, rule, _band_grams(spec, mesh, rule))
+
+
+def _savings(
+    spec: DiscretizationSpec,
+    mesh: KnotVector,
+    rule: QuadratureRule,
+    optimal: tuple[np.ndarray, np.ndarray],
+) -> SavingsReport:
+    """:func:`savings_report` from the bands ``rule`` already assembled."""
+    m_opt, k_opt = optimal
     gauss = classical_rule(spec.p, mesh.breaks)
     m_cl, k_cl = _band_grams(spec, mesh, gauss)
 

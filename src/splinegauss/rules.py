@@ -21,11 +21,17 @@ _NEWTON_MAX_ITERS = 25
 _HALVINGS = 10
 
 
-def _converged(defects: np.ndarray, interval: tuple[float, float]) -> bool:
-    """The convergence test of every solver: exactness defects at rounding
-    level, relative to the end points so that it moves with the interval."""
+def _rounding_bound(interval: tuple[float, float]) -> float:
+    """Largest exactness defect that counts as rounding level, relative to
+    the end points so that it moves with the interval."""
     a, b = interval
-    return float(np.abs(defects).max()) <= _EXACT * max(abs(a), abs(b))
+    return _EXACT * max(abs(a), abs(b))
+
+
+def _converged(defects: np.ndarray, interval: tuple[float, float]) -> bool:
+    """The convergence test of every finished rule: defects at rounding
+    level."""
+    return float(np.abs(defects).max()) <= _rounding_bound(interval)
 
 
 def _defect_norm(defects: np.ndarray) -> float:
@@ -41,22 +47,25 @@ class NewtonFailure(RuntimeError):
         self.cause = cause
 
 
-def _damped_newton(x, system, interval, admissible=None):
+def _damped_newton(x, system, bound, admissible=None):
     """The damped Newton iteration of every solver: ``(x, f, iterations)``.
 
     ``system(x)`` evaluates the system once and returns ``(f, step)``: the
     defects at ``x`` and a callable giving the full Newton step there from
     that same evaluation.  The step is halved up to ``_HALVINGS`` times
     until the trial is ``admissible`` (None admits all) and lowers max |F|.
-    Stops on :func:`_converged`; raises :class:`NewtonFailure` after
-    ``_NEWTON_MAX_ITERS`` iterations or a step with no descent.
+    Stops once max |F| <= ``bound``, which the caller sets: the rounding
+    bound of :func:`_rounding_bound` for a rule that is an answer, a looser
+    one for a root that only seeds the next solve.  Raises
+    :class:`NewtonFailure` after ``_NEWTON_MAX_ITERS`` iterations or a step
+    with no descent.
     """
     if admissible is not None and not admissible(x):
         raise NewtonFailure("left-domain", "guess violates the node/weight box")
     f, step = system(x)
     worst = np.abs(f).max()
     for it in range(_NEWTON_MAX_ITERS):
-        if _converged(f, interval):
+        if worst <= bound:
             return x, f, it
         dx = step()
         in_domain_once = False
@@ -77,7 +86,7 @@ def _damped_newton(x, system, interval, admissible=None):
                 if in_domain_once
                 else "damped step could not stay in the domain",
             )
-    if _converged(f, interval):
+    if worst <= bound:
         return x, f, _NEWTON_MAX_ITERS
     raise NewtonFailure(
         "iteration-cap",

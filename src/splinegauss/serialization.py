@@ -66,8 +66,8 @@ class RuleDocument:
         return cls(
             degree=int(meta.get("degree", space.degree if space else 0)),
             interval=rule.interval,
-            nodes=[float(x) for x in rule.nodes],
-            weights=[float(w) for w in rule.weights],
+            nodes=rule.nodes.tolist(),
+            weights=rule.weights.tolist(),
             provenance=str(meta.get("provenance", "traced")),
             breaks=list(space.knots.breaks) if space else None,
             mults=list(space.knots.mults) if space else None,
@@ -144,7 +144,17 @@ class RuleDocument:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The bytes of ``json.dumps(self.to_dict(), indent=2)`` and a
+        newline.
+
+        A flat number list is encoded in one call of the C encoder, which
+        the indented encoder cannot use, and laid out one entry a line.
+        """
+        fields = (
+            f"  {json.dumps(key)}: {_indented(value)}"
+            for key, value in self.to_dict().items()
+        )
+        return "{\n" + ",\n".join(fields) + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RuleDocument":
@@ -152,13 +162,26 @@ class RuleDocument:
 
     def to_csv(self) -> str:
         """Table-style CSV: element, index, node, weight at 20 decimals."""
-        out = io.StringIO()
-        out.write("element,i,tau,omega\n")
         breaks = self.breaks if self.breaks is not None else self.interval
-        elems = self.rule().element_of(breaks)
-        for i, (e, x, w) in enumerate(zip(elems, self.nodes, self.weights), start=1):
-            out.write(f"{e},{i},{x:.20f},{w:.20f}\n")
-        return out.getvalue()
+        elems = self.rule().element_of(breaks).tolist()
+        rows = map(
+            "{},{},{:.20f},{:.20f}\n".format,
+            elems,
+            range(1, len(elems) + 1),
+            self.nodes,
+            self.weights,
+        )
+        return "element,i,tau,omega\n" + "".join(rows)
+
+
+def _indented(value) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it one level deep."""
+    if isinstance(value, list) and value:
+        flat = json.dumps(value)[1:-1]
+        # numbers, booleans and null only: no nested list, object or string
+        if not any(c in flat for c in '[{"'):
+            return "[\n    " + flat.replace(", ", ",\n    ") + "\n  ]"
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from splinegauss import continuation, rules, solve_asymptotic_system
+from splinegauss import basis, continuation, rules, solve_asymptotic_system
 from splinegauss.cli import main
 
 from tracing import golden, golden_rows
@@ -15,6 +15,19 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_points(monkeypatch) -> list:
+    """Record ``(degree, points)`` of every ``basis.evaluate_many`` call."""
+    calls = []
+    evaluate_many = basis.evaluate_many
+
+    def counted(space, xs):
+        calls.append((space.degree, len(xs)))
+        return evaluate_many(space, xs)
+
+    monkeypatch.setattr(basis, "evaluate_many", counted)
+    return calls
 
 
 class TestRuleCommand:
@@ -215,6 +228,14 @@ class TestValidateCommand:
         assert report["pass"] is False
         assert report["max_basis_error"] > 1e-8
         assert isinstance(report["worst_basis_index"], int)
+
+    def test_one_basis_evaluation_per_document(
+        self, capsys, rule_doc, monkeypatch
+    ):
+        calls = count_points(monkeypatch)
+        code, _, _ = run(capsys, ["validate", str(rule_doc)])
+        assert code == 0
+        assert calls == [(5, len(json.loads(rule_doc.read_text())["nodes"]))]
 
     def test_validation_is_seeded_and_deterministic(self, capsys, rule_doc):
         _, out1, _ = run(capsys, ["validate", str(rule_doc)])
@@ -467,6 +488,16 @@ class TestAssembleCommand:
         assert mass.shape == (13, 13)  # trial dimension N(p-k) + k + 1
         assert np.abs(mass - mass.T).max() == 0.0
         assert (tmp_path / "demo_stiffness.csv").exists()
+
+    def test_trial_basis_is_evaluated_once_per_rule(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = count_points(monkeypatch)
+        argv = ["assemble", "-p", "3", "-k", "2", "-l", "1", "-N", "30",
+                "--out-prefix", str(tmp_path / "run")]
+        assert run(capsys, argv)[0] == 0
+        # optimal rule, then classical Gauss; the files reuse the first
+        assert [n for degree, n in calls if degree == 3] == [91, 120]
 
     def test_parity_violation_exits_2_without_writing(self, capsys, tmp_path):
         prefix = tmp_path / "demo"

@@ -30,6 +30,17 @@ from tracing import ACCEPTANCE_TABLES, EXTRA_TABLES, get_trace, space_for
 # the convergence test of every solver: max defect <= EXACT * max(|a|, |b|)
 EXACT = 4 * np.finfo(float).eps
 
+# a clustered mixed-multiplicity mesh whose strict corrector fails late
+CLUSTERED = SplineSpace(
+    5,
+    KnotVector(
+        [0.0, 0.0601, 0.0631, 0.0759, 0.079, 0.1064, 0.2072, 0.2962,
+         0.3857, 0.3982, 0.4223, 0.4235, 0.488, 0.5231, 0.5364, 0.5527,
+         0.5773, 0.5995, 0.601, 0.6594, 0.7959, 1.0],
+        [6, 3, 5, 2, 2, 1, 5, 5, 5, 5, 4, 3, 2, 1, 3, 4, 4, 2, 5, 1, 2, 6],
+    ),
+)
+
 
 class TestResidual:
     def test_source_rule_solves_source_system(self):
@@ -343,17 +354,32 @@ class TestTrace:
         assert res.rule.residual_norm == plain.residual_norm
 
     def test_late_failures_finish_through_the_forced_limit(self, monkeypatch):
+        # with every corrector solve taken to rounding (no path accuracy),
         # the corrector keeps failing close to t = 1 on this clustered mesh,
         # so the step size underflows and the tracker clamps onto the limit
-        target = SplineSpace(
-            5,
-            KnotVector(
-                [0.0, 0.0601, 0.0631, 0.0759, 0.079, 0.1064, 0.2072, 0.2962,
-                 0.3857, 0.3982, 0.4223, 0.4235, 0.488, 0.5231, 0.5364, 0.5527,
-                 0.5773, 0.5995, 0.601, 0.6594, 0.7959, 1.0],
-                [6, 3, 5, 2, 2, 1, 5, 5, 5, 5, 4, 3, 2, 1, 3, 4, 4, 2, 5, 1, 2, 6],
-            ),
-        )
+        monkeypatch.setattr(continuation, "_PATH_TOL", 0.0)
+        forced = self.spy_finalize(monkeypatch)
+        res = trace(CLUSTERED)
+        assert forced == [True]
+        assert res.converged and res.newton_failures > 0
+        a, b = CLUSTERED.interval
+        defects = residual(CLUSTERED, res.rule)
+        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
+
+    def test_path_accuracy_traces_the_clustered_mesh_to_the_limit(
+        self, monkeypatch
+    ):
+        forced = self.spy_finalize(monkeypatch)
+        res = trace(CLUSTERED)
+        assert forced == [False]
+        assert res.converged and res.newton_failures == 0
+        a, b = CLUSTERED.interval
+        defects = residual(CLUSTERED, res.rule)
+        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
+
+    @staticmethod
+    def spy_finalize(monkeypatch) -> list:
+        """Record the ``force`` flag of every ``finalize_limit`` call."""
         forced = []
 
         def spy(target, rule, force=False):
@@ -361,12 +387,45 @@ class TestTrace:
             return finalize_limit(target, rule, force=force)
 
         monkeypatch.setattr(continuation, "finalize_limit", spy)
-        res = trace(target)
-        assert forced == [True]
-        assert res.converged and res.newton_failures > 0
+        return forced
+
+    @pytest.mark.parametrize("key", [(5, 1, 10), (7, 1, 2, (0.0, 1.0))])
+    def test_only_the_end_of_the_path_is_solved_to_rounding(
+        self, monkeypatch, key
+    ):
+        # (5, 1, 10) reaches t = 1; (7, 1, 2) has a surplus and ends in
+        # the reduced solve of finalize_limit
+        target = uniform_space(*key)
         a, b = target.interval
-        defects = residual(target, res.rule)
-        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
+        rounding = EXACT * max(abs(a), abs(b))
+        path = max(continuation._PATH_TOL * (b - a), rounding)
+        assert path > rounding
+        solves, where = [], {"t": 0.0}
+        space_at = continuation.space_at
+        damped_newton = continuation._damped_newton
+        finalize = continuation.finalize_limit
+
+        def at(knots, t):
+            where["t"] = t
+            return space_at(knots, t)
+
+        def limit(*args, **kwargs):
+            where["t"] = "limit"
+            return finalize(*args, **kwargs)
+
+        def newton(x, system, bound, *args):
+            solves.append((where["t"], bound))
+            return damped_newton(x, system, bound, *args)
+
+        monkeypatch.setattr(continuation, "space_at", at)
+        monkeypatch.setattr(continuation, "finalize_limit", limit)
+        monkeypatch.setattr(continuation, "_damped_newton", newton)
+        res = trace(target)
+        assert res.converged
+        end = 1.0 if res.rule.meta["surplus"] == 0 else "limit"
+        assert solves[-1] == (end, rounding)
+        assert all(t != end and bound == path for t, bound in solves[:-1])
+        assert len(solves) == res.steps_taken + res.newton_failures + (end != 1.0)
 
     def test_large_uniform_target_reaches_the_asymptotic_pattern(self):
         n = 160

@@ -1,10 +1,14 @@
 """Rule documents: JSON round-trips, CSV table style, matrix export."""
 
 
+import io
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from splinegauss import RuleDocument, asymptotic_rule, uniform_space
+from splinegauss import RuleDocument, asymptotic_rule, hybrid_rule, uniform_space
 from splinegauss.serialization import matrix_to_csv, matrix_to_triplets
 
 from tracing import get_trace
@@ -83,6 +87,58 @@ class TestRuleDocument:
             provenance="traced",
         )
         assert RuleDocument.from_json(doc.to_json()).nodes[0] == value
+
+
+def csv_reference(doc: RuleDocument) -> str:
+    """The CSV table written one row at a time."""
+    out = io.StringIO()
+    out.write("element,i,tau,omega\n")
+    breaks = doc.breaks if doc.breaks is not None else doc.interval
+    elems = doc.rule().element_of(breaks)
+    for i, (e, x, w) in enumerate(zip(elems, doc.nodes, doc.weights), start=1):
+        out.write(f"{e},{i},{x:.20f},{w:.20f}\n")
+    return out.getvalue()
+
+
+WRITER_CASES = [
+    "traced", "hybrid", "pattern", "no-trace", "nan-residual", "inf-residual",
+    "integer-lists", "extreme-floats", "empty",
+]
+
+
+@pytest.fixture(scope="module")
+def writer_docs():
+    traced = RuleDocument.from_rule(get_trace((5, 1, 4)).rule, uniform_space(5, 1, 4))
+    hybrid = RuleDocument.from_rule(
+        hybrid_rule(5, 0, 21, boundary_depth=1), uniform_space(5, 0, 21)
+    )
+    return {
+        "traced": traced,
+        "hybrid": hybrid,
+        "pattern": RuleDocument.from_pattern(asymptotic_rule(7, 1)),
+        "no-trace": replace(traced, trace={}),
+        "nan-residual": replace(traced, residual_norm=float("nan")),
+        "inf-residual": replace(traced, residual_norm=float("inf")),
+        "integer-lists": replace(
+            traced, interval=(0, 4), nodes=[1, 2, 3], weights=[2, 1, 1]
+        ),
+        "extreme-floats": replace(
+            traced, nodes=[-0.0, 5e-324, 1e300], weights=[-np.inf, np.nan, 1e-5]
+        ),
+        "empty": replace(traced, nodes=[], weights=[], breaks=[], mults=[]),
+    }
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", WRITER_CASES)
+    def test_json_is_the_indented_dump(self, writer_docs, name):
+        doc = writer_docs[name]
+        assert doc.to_json() == json.dumps(doc.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", ["traced", "hybrid", "pattern", "no-trace"])
+    def test_csv_is_the_row_by_row_table(self, writer_docs, name):
+        doc = writer_docs[name]
+        assert doc.to_csv() == csv_reference(doc)
 
 
 class TestMatrixExport:
