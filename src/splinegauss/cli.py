@@ -219,9 +219,11 @@ def cmd_hybrid(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    interval = args.interval or (0.0, float(args.elements))
+    interval = tuple(args.interval or (0.0, float(args.elements)))
     try:
         spec = DiscretizationSpec(args.p, args.k, args.l)
+        if not np.all(np.isfinite(interval)):
+            raise ValueError(f"interval end points must be finite; got {interval}")
         breaks = np.linspace(interval[0], interval[1], args.elements + 1)
         mesh = trial_space(spec, breaks).knots
     except ValueError as exc:

@@ -10,6 +10,9 @@ the source carries surplus basis functions, the trailing nodes drift to
 space finishes the job.  A root before ``t = 1`` only seeds the next
 step, so its corrector stops at the path accuracy ``_PATH_TOL * (b - a)``;
 the step that reaches ``t = 1`` and the reduced solve stop at rounding.
+All of it runs on the breakpoints minus ``a``, over ``[0, b - a]``, so the
+knots keep their digits far from the origin; only the returned rule is
+moved back to ``[a, b]``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import scipy.linalg
 
 from . import basis
 from .gauss import composite_rule
-from .knots import SplineSpace, knot_path, source_space, space_at
+from .knots import KnotVector, SplineSpace, knot_path, source_space, space_at
 from .rules import NewtonFailure, QuadratureRule
 from .rules import _converged, _damped_newton, _defect_norm, _rounding_bound
 
@@ -45,10 +48,6 @@ _PIVOT_REL_TOL = 1e-14
 # degenerate limit is finalized; the dying weights are then genuinely tiny
 # while knot gaps stay two orders above the coincidence tolerance.
 _TAIL_GAP = 1e-8
-
-# A corrector failure beyond this time with surplus basis functions
-# triggers the pre-clamped reduced finish instead of a stall.
-_LATE_FAILURE_TIME = 1.0 - 1e-3
 
 # Step-size factors after a corrector failure and after an easy step (at
 # most four Newton iterations), the first step and the step-size bounds.
@@ -248,9 +247,7 @@ def newton_correct(space: SplineSpace, guess: QuadratureRule) -> QuadratureRule:
     )
 
 
-def finalize_limit(
-    target: SplineSpace, rule: QuadratureRule, force: bool = False
-) -> QuadratureRule:
+def finalize_limit(target: SplineSpace, rule: QuadratureRule) -> QuadratureRule:
     """Resolve the degenerate end state into the reduced target rule.
 
     ``rule`` carries ``r/2`` more nodes than the optimal rule of
@@ -258,8 +255,6 @@ def finalize_limit(
     ones (at ``b`` with vanished weights) are dropped, and the remaining
     square system is Newton-solved on ``target``.  With ``r = 0`` the rule
     is returned unchanged; a negative or odd ``r`` raises ValueError.
-    ``force`` skips the degeneracy check; used when a late corrector
-    failure makes the tracker clamp onto the limit early.
     """
     r = 2 * rule.num_nodes - target.dimension
     if r == 0:
@@ -269,11 +264,9 @@ def finalize_limit(
     a, b = rule.interval
     drop = r // 2
     tau, omega = rule.nodes[-drop:], rule.weights[-drop:]  # the trailing ones
-    # the rounding of b bounds both from below, as in ``basis._spans``
-    ulps = 8 * np.spacing(max(abs(a), abs(b)))
-    near_b = np.all(b - tau <= 1e-6 * (b - a) + ulps)
-    tiny_w = np.all(omega <= _LIMIT_WEIGHT_THRESHOLD * (b - a) + ulps)
-    if not (near_b or tiny_w or force):
+    near_b = np.all(b - tau <= 1e-6 * (b - a))
+    tiny_w = np.all(omega <= _LIMIT_WEIGHT_THRESHOLD * (b - a))
+    if not (near_b or tiny_w):
         raise NewtonFailure(
             "not-degenerate",
             "trailing nodes/weights are not close to the boundary limit",
@@ -319,11 +312,14 @@ def trace(target: SplineSpace) -> TraceResult:
     Stalls (step underflow before reaching the end) are reported through
     ``status``, never raised.
     """
-    src = source_space(target)
-    r = src.dimension - target.dimension
-    path = knot_path(src, target)
+    origin, knots = target.interval[0], target.knots
+    breaks = np.subtract(knots.breaks, origin)
+    local = SplineSpace(target.degree, KnotVector(breaks, knots.mults))
+    src = source_space(local)
+    r = src.dimension - local.dimension
+    path = knot_path(src, local)
     start = source_rule(src)
-    a, b = target.interval
+    a, b = local.interval
     m = start.num_nodes
     rounding = _rounding_bound((a, b))
     path_bound = max(_PATH_TOL * (b - a), rounding)
@@ -333,8 +329,18 @@ def trace(target: SplineSpace) -> TraceResult:
     x = x_prev = np.concatenate([start.nodes, start.weights])
     steps = failures = 0
 
-    def result(rule: QuadratureRule, status: str, t_reached: float) -> TraceResult:
+    def result(rule: QuadratureRule, stalled_at: float | None = None) -> TraceResult:
+        """The one exit: ``rule`` back on ``[a, b]``, checked unless stalled."""
         meta = dict(rule.meta)
+        if "dropped_nodes" in meta:
+            meta["dropped_nodes"] = [tau + origin for tau in meta["dropped_nodes"]]
+        rule = replace(rule, interval=target.interval, nodes=rule.nodes + origin)
+        status, t_reached = "stalled", stalled_at
+        if stalled_at is None:
+            defects = residual(target, rule)
+            rule = replace(rule, residual_norm=_defect_norm(defects))
+            ok = _converged(defects, target.interval) and _valid_final(rule)
+            status, t_reached = ("converged", 1.0) if ok else ("stalled", t)
         meta.update(
             provenance="traced",
             space=target.to_dict(),
@@ -347,21 +353,16 @@ def trace(target: SplineSpace) -> TraceResult:
         )
         return TraceResult(replace(rule, meta=meta))
 
-    def finish(force: bool = False) -> TraceResult:
-        """Every end of the path but a mid-path stall: drop the surplus,
-        if any, then check the rule once."""
+    def finish() -> TraceResult:
+        """Every end of the path but a mid-path stall: drop any surplus."""
         nonlocal failures
         rule = QuadratureRule((a, b), x[:m], x[m:])
         try:
-            rule = finalize_limit(target, rule, force=force)
+            rule = finalize_limit(local, rule)
         except NewtonFailure:
             failures += 1
-            return result(rule, "stalled", t)
-        defects = residual(target, rule)
-        rule = replace(rule, residual_norm=_defect_norm(defects))
-        if not (_converged(defects, (a, b)) and _valid_final(rule)):
-            return result(rule, "stalled", t)
-        return result(rule, "converged", 1.0)
+            return result(rule, t)
+        return result(rule)
 
     dt = _INITIAL_STEP
     # only without surplus does t reach 1: the state is then the root
@@ -392,9 +393,7 @@ def trace(target: SplineSpace) -> TraceResult:
             failures += 1
             dt *= _SHRINK
             if dt < _MIN_STEP:
-                if r > 0 and t > _LATE_FAILURE_TIME:
-                    return finish(force=True)
-                return result(QuadratureRule((a, b), x[:m], x[m:]), "stalled", t)
+                return result(QuadratureRule((a, b), x[:m], x[m:]), t)
             continue
         t_prev, x_prev, t, x = t, x, t_next, x_next
         steps += 1

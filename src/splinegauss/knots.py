@@ -59,6 +59,8 @@ class KnotVector:
             raise ValueError("breaks and mults must have equal length")
         if len(breaks) < 2:
             raise ValueError("need at least two breakpoints")
+        if not all(map(math.isfinite, breaks)):
+            raise ValueError("breaks must be finite")
         if any(b >= c for b, c in zip(breaks, breaks[1:])):
             raise ValueError("breaks must be strictly increasing")
         if any(m < 1 for m in mults):
@@ -180,6 +182,8 @@ def uniform_space(
     if interval is None:
         interval = (0.0, float(num_elements))
     a, b = map(float, interval)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval end points must be finite; got {(a, b)}")
     return open_space(degree, continuity, np.linspace(a, b, num_elements + 1))
 
 

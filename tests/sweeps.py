@@ -11,13 +11,14 @@ Two generators of target spaces that stress the corrector:
   Seed ``s`` uses ``default_rng(s)``; draws of odd dimension are skipped.
 
 ``python tests/sweeps.py`` (with ``src`` on ``PYTHONPATH``) traces both
-sweeps and prints stalls, corrector failures, steps and basis evaluations,
-for comparing two versions of the tracker.
+sweeps and prints stalls, corrector failures, steps, basis evaluations and
+``finalize_limit`` calls, for comparing two versions of the tracker.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+from unittest import mock
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from splinegauss import (
     ParityError,
     SplineSpace,
     basis,
+    continuation,
     source_space,
     trace,
     uniform_space,
@@ -77,29 +79,27 @@ def multiplicity_meshes(
 
 def sweep(cases) -> dict:
     """Trace every ``(key, space)``: the stalled keys and the totals of
-    corrector failures, steps and basis evaluations."""
-    evaluate_many, calls = basis.evaluate_many, [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return evaluate_many(*args)
-
+    corrector failures, steps, basis evaluations and limit solves."""
     stalled, failures, steps = [], 0, 0
-    basis.evaluate_many = counted
-    try:
+    with (
+        mock.patch.object(basis, "evaluate_many", wraps=basis.evaluate_many)
+        as evaluations,
+        mock.patch.object(
+            continuation, "finalize_limit", wraps=continuation.finalize_limit
+        ) as limits,
+    ):
         for key, space in cases:
             res = trace(space)
             if not res.converged:
                 stalled.append(key)
             failures += res.newton_failures
             steps += res.steps_taken
-    finally:
-        basis.evaluate_many = evaluate_many
     return {
         "stalled": stalled,
         "newton_failures": failures,
         "steps": steps,
-        "basis_evaluations": calls[0],
+        "basis_evaluations": evaluations.call_count,
+        "finalize_limit_calls": limits.call_count,
     }
 
 

@@ -118,6 +118,10 @@ class TestRuleCommand:
         "mistyped-degree": (json.dumps({**GOOD_KNOTS, "degree": "five"}), []),
         "null-mults": (json.dumps({**GOOD_KNOTS, "mults": None}), []),
         "degree-conflict": (json.dumps(GOOD_KNOTS), ["-d", "7"]),
+        "nan-break": (json.dumps({**GOOD_KNOTS, "breaks": [0.0, "NaN", 2.0]}), []),
+        "infinite-break": (
+            json.dumps({**GOOD_KNOTS, "breaks": [0.0, 1.0, float("inf")]}), []
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_KNOTS))
@@ -184,6 +188,21 @@ class TestRuleCommand:
         assert code == expect
         assert json.loads(out)["trace"]["status"] == "converged"
         assert (json.loads(err)["error"] if err else None) == kind
+
+    # end points that are not finite, rejected before any arithmetic
+    NON_FINITE = {"nan-start": ["nan", "1"], "infinite-end": ["0", "inf"]}
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_interval_exits_2_with_json_error(self, capsys, case):
+        code, out, err = run(
+            capsys,
+            ["rule", "-d", "5", "-c", "1", "-N", "4", "--interval",
+             *self.NON_FINITE[case]],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "invalid-space"
 
     def test_custom_interval(self, capsys):
         code, out, _ = run(
@@ -498,6 +517,22 @@ class TestAssembleCommand:
         assert run(capsys, argv)[0] == 0
         # optimal rule, then classical Gauss; the files reuse the first
         assert [n for degree, n in calls if degree == 3] == [91, 120]
+
+    @pytest.mark.parametrize("case", sorted(TestRuleCommand.NON_FINITE))
+    def test_non_finite_interval_exits_2_without_writing(
+        self, capsys, tmp_path, case
+    ):
+        code, out, err = run(
+            capsys,
+            ["assemble", "-p", "2", "-k", "1", "-l", "1", "-N", "11",
+             "--interval", *TestRuleCommand.NON_FINITE[case],
+             "--out-prefix", str(tmp_path / "demo")],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "invalid-spec"
+        assert list(tmp_path.iterdir()) == []
 
     def test_parity_violation_exits_2_without_writing(self, capsys, tmp_path):
         prefix = tmp_path / "demo"

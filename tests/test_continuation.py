@@ -259,7 +259,7 @@ class TestFinalizeLimit:
             target = uniform_space(7, c, 2, (0.0, 1.0))
             rule = QuadratureRule(full.interval, full.nodes[:keep], full.weights[:keep])
             with pytest.raises(ValueError, match=f"got {r}$"):
-                finalize_limit(target, rule, force=True)
+                finalize_limit(target, rule)
 
 
 class TestTrace:
@@ -323,10 +323,8 @@ class TestTrace:
         target = uniform_space(7, 1, 2, (0.0, 1.0))
         plain = get_trace((7, 1, 2, (0.0, 1.0)))
 
-        def refuse(target, rule, force=False):
-            if not force:
-                raise NewtonFailure("not-degenerate")
-            return finalize_limit(target, rule, force=force)
+        def refuse(target, rule):
+            raise NewtonFailure("not-degenerate")
 
         monkeypatch.setattr(continuation, "finalize_limit", refuse)
         res = trace(target)
@@ -336,14 +334,25 @@ class TestTrace:
         assert res.rule.residual_norm is None
         assert "dropped_nodes" not in res.rule.meta
 
-    def test_far_out_short_interval_stalls_at_a_nondegenerate_limit(self):
-        # the last dropped node sits 5.2e-10 from b with weight 8.7e-10,
-        # both above the 8-ulp allowance of 4.7e-10
-        space = uniform_space(9, 5, 8, (503801.77784693683, 503801.77784863446))
+    @pytest.mark.parametrize(
+        "space",
+        [
+            uniform_space(9, 2, 7, (-995610.3329638599, -995610.3329413355)),
+            uniform_space(9, 1, 4, (-580716.7925857091, -580716.7925801523)),
+            uniform_space(9, 5, 8, (503801.77784693683, 503801.77784863446)),
+        ],
+        ids=["k72", "k101", "k130"],
+    )
+    def test_far_out_short_intervals_converge(self, space):
+        # (b - a) / |a| <= 2.3e-11: far draws 72, 101 and 130 of
+        # ``sweeps.far_intervals``, whose knots keep their digits only on
+        # [0, b - a]
         res = trace(space)
-        assert res.status == "stalled" and res.newton_failures == 1
-        assert 2 * res.rule.num_nodes == source_space(space).dimension
-        assert res.rule.residual_norm is None
+        assert res.converged
+        a, b = space.interval
+        defects = residual(space, res.rule)
+        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
+        assert continuation._valid_final(res.rule)
 
     def test_a_rule_the_final_check_rejects_stalls(self, monkeypatch):
         monkeypatch.setattr(continuation, "_valid_final", lambda rule: False)
@@ -353,25 +362,25 @@ class TestTrace:
         assert np.array_equal(res.rule.nodes, plain.nodes)
         assert res.rule.residual_norm == plain.residual_norm
 
-    def test_late_failures_finish_through_the_forced_limit(self, monkeypatch):
+    def test_late_failures_are_reported_as_a_stall(self, monkeypatch):
         # with every corrector solve taken to rounding (no path accuracy),
         # the corrector keeps failing close to t = 1 on this clustered mesh,
-        # so the step size underflows and the tracker clamps onto the limit
+        # so the step size underflows: a stall, with the surplus kept
         monkeypatch.setattr(continuation, "_PATH_TOL", 0.0)
-        forced = self.spy_finalize(monkeypatch)
+        calls = self.spy_finalize(monkeypatch)
         res = trace(CLUSTERED)
-        assert forced == [True]
-        assert res.converged and res.newton_failures > 0
-        a, b = CLUSTERED.interval
-        defects = residual(CLUSTERED, res.rule)
-        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
+        assert calls == []
+        assert res.status == "stalled" and res.newton_failures > 0
+        assert 0.999 < res.t_reached < 1.0
+        assert 2 * res.rule.num_nodes == source_space(CLUSTERED).dimension
+        assert res.rule.residual_norm is None
 
     def test_path_accuracy_traces_the_clustered_mesh_to_the_limit(
         self, monkeypatch
     ):
-        forced = self.spy_finalize(monkeypatch)
+        calls = self.spy_finalize(monkeypatch)
         res = trace(CLUSTERED)
-        assert forced == [False]
+        assert calls == [CLUSTERED.dimension]
         assert res.converged and res.newton_failures == 0
         a, b = CLUSTERED.interval
         defects = residual(CLUSTERED, res.rule)
@@ -379,15 +388,15 @@ class TestTrace:
 
     @staticmethod
     def spy_finalize(monkeypatch) -> list:
-        """Record the ``force`` flag of every ``finalize_limit`` call."""
-        forced = []
+        """Record the target dimension of every ``finalize_limit`` call."""
+        calls = []
 
-        def spy(target, rule, force=False):
-            forced.append(force)
-            return finalize_limit(target, rule, force=force)
+        def spy(target, rule):
+            calls.append(target.dimension)
+            return finalize_limit(target, rule)
 
         monkeypatch.setattr(continuation, "finalize_limit", spy)
-        return forced
+        return calls
 
     @pytest.mark.parametrize("key", [(5, 1, 10), (7, 1, 2, (0.0, 1.0))])
     def test_only_the_end_of_the_path_is_solved_to_rounding(

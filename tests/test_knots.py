@@ -26,6 +26,16 @@ class TestKnotVector:
         with pytest.raises(ValueError, match="strictly increasing"):
             KnotVector([0.0, 0.0, 1.0], [1, 1, 1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_breaks(self, bad):
+        with pytest.raises(ValueError, match="breaks must be finite"):
+            KnotVector([0.0, bad, 1.0], [1, 1, 1])
+        with pytest.raises(ValueError, match="breaks must be finite"):
+            KnotVector([bad, 1.0], [1, 1])
+        # checked before the breakpoints are spaced out, so no numpy warning
+        with pytest.raises(ValueError, match="end points must be finite"):
+            uniform_space(5, 1, 4, (0.0, bad))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             KnotVector([0.0, 1.0], [1, 1, 1])
