@@ -44,12 +44,11 @@ def _spans(knots: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
             f"[{lo_u}, {hi_u}]"
         )
     # nonempty spans run from the last copy of the left end to the last knot
-    # below the right end; clamping puts fuzzed points and the right end
-    # (left limit) on them and skips past repeated knots
+    # below the right end; counting only the knots between them puts fuzzed
+    # points and the right end (left limit) on them and skips repeated knots
     first = knots.searchsorted(lo_u, side="right") - 1
     last = knots.searchsorted(hi_u, side="left") - 1
-    k = knots.searchsorted(xs, side="right") - 1
-    return np.minimum(np.maximum(k, first), last)
+    return first + knots[first + 1 : last + 1].searchsorted(xs, side="right")
 
 
 def evaluate_many(
@@ -58,44 +57,50 @@ def evaluate_many(
     """Nonzero basis values and first derivatives at every point of ``xs``.
 
     Returns ``(first, values, derivatives)`` of shapes ``(n,)``,
-    ``(n, d+1)`` and ``(n, d+1)``: row ``p`` belongs to basis functions
-    ``first[p] .. first[p] + d`` at ``xs[p]``.  The triangular recurrence
-    advances all points and all entries of one degree level together, so
-    a call costs O(d) array operations.  Each entry takes the operations of
-    the classic one-point recurrence in the same order, so a row does not
-    depend on the other points of the batch.  Raises ``ValueError`` if any
-    point lies outside the supported region.
+    ``(n, d+1)`` and ``(n, d+1)``, C-contiguous: row ``p`` belongs to basis
+    functions ``first[p] .. first[p] + d`` at ``xs[p]``.  The triangular
+    recurrence runs function-major: the knot differences are ``(d, n)``
+    rows, and one ``(d + 1, n)`` table, entry ``i`` of every point in row
+    ``i``, is filled in place level by level, so a level is a few array
+    operations on contiguous row blocks and a call costs O(d) of them; the
+    derivatives fill a second such table, and one transposing copy returns
+    both.  Each entry takes the operations of the classic one-point
+    recurrence (*The NURBS Book*, A2.2) in the same order, so a row does
+    not depend on the other points of the batch.  Raises ``ValueError`` if
+    any point lies outside the supported region.
     """
     d = space.degree
     T = space.expanded
     xs = np.asarray(xs, dtype=float)
-    k = _spans(T, d, xs)[:, None]
-    up = np.arange(1, d + 1)
-    ahead = T[k + up]
-    left = xs[:, None] - T[k + 1 - up]  # left[:, j-1] = u - T[k+1-j]
-    right = ahead - xs[:, None]  # right[:, j-1] = T[k+j] - u
-    zero = np.zeros((len(xs), 1))
+    k = _spans(T, d, xs)
+    # knots[r] = T[k+1-d+r], r = 0 .. 2d-1, one row per offset
+    knots = T[k + np.arange(1 - d, d + 1)[:, None]]
+    left = xs - knots[:d]  # left[d-j] = u - T[k+1-j]
+    right = knots[d:] - xs  # right[j-1] = T[k+j] - u
 
-    # level j holds the degree-j values of functions k-j .. k
-    level = np.ones((len(xs), 1))
+    # level j fills rows d-j .. d with the degree-j values of functions
+    # k-j .. k; entry i is right[i]*temp[i] + left[d-j+i]*temp[i-1], its
+    # first term added to the row's initial zero and its second absent at
+    # i = j, as in the one-point recurrence
+    table = np.zeros((2, d + 1, len(xs)))
+    level, slopes = table
+    level[d] = 1.0
     for j in range(1, d + 1):
-        below = level
-        r_part = right[:, :j]
-        l_part = left[:, j - 1 :: -1]
-        temp = below / (r_part + l_part)
-        level = np.concatenate((zero, l_part * temp), axis=1)
-        level[:, :j] += r_part * temp
-
-    first = k[:, 0] - d
-    if d == 0:
-        return first, level, np.zeros_like(level)
-    # derivative of function k-d+r from the degree d-1 values B:
-    # d * (B_{r-1} / (T[k+r] - T[k-d+r]) - B_r / (T[k+r+1] - T[k-d+r+1])),
-    # a missing B counting as zero; each knot difference spans the nonempty
-    # span [T[k], T[k+1]], so none is zero
-    quot = below / (ahead - T[k - d + up])
-    padded = np.concatenate((zero, quot, zero), axis=1)
-    return first, level, d * (padded[:, :-1] - padded[:, 1:])
+        below, above = level[d - j + 1 :], level[d - j : d]
+        if j == d:
+            # derivative of function k-d+r from the degree d-1 values B:
+            # d * (B_{r-1} / (T[k+r] - T[k-d+r]) - B_r / (T[k+r+1] - T[k-d+r+1])),
+            # a missing B counting as zero; each knot difference spans the
+            # nonempty span [T[k], T[k+1]], so none is zero
+            quot = below / (knots[d:] - knots[:d])
+            slopes[1:] = quot
+            slopes[:d] -= quot
+            slopes *= d
+        temp = below / (right[:j] + left[d - j :])
+        np.multiply(left[d - j :], temp, out=below)
+        np.add(above, np.multiply(right[:j], temp, out=temp), out=above)
+    values, derivatives = table.transpose(0, 2, 1).copy()
+    return k - d, values, derivatives
 
 
 def evaluate_functions(
@@ -122,26 +127,25 @@ def integrals(space: SplineSpace) -> np.ndarray:
 def integrals_up_to(space: SplineSpace, cutoff: float) -> np.ndarray:
     """Integrals of all basis functions over ``[a, cutoff]``.
 
-    Supports entirely below the cutoff use the closed form; straddling
-    supports are integrated span by span with a Gauss rule exact for the
-    space's degree; supports entirely above contribute zero.
+    Supports entirely below the cutoff use the closed form; every other
+    support is integrated over its ``d + 1`` spans cut at the cutoff, all
+    functions in one composite Gauss rule exact for the space's degree.  A
+    span cut to zero width carries zero weight and is skipped, so supports
+    entirely above contribute zero.
     """
     d = space.degree
     T = space.expanded
     out = integrals(space)
-    q = (d + 2) // 2  # exact through degree 2q-1 >= d
-    funcs, xs, ws = [], [], []
-    for i in np.flatnonzero(T[d + 1 : d + 1 + space.dimension] > cutoff):
-        out[i] = 0.0
-        # the spans of the support cut at the cutoff; none if it starts above
-        spans = np.unique(np.minimum(T[i : i + d + 2], cutoff))
-        x, w = composite_rule(q, spans)
-        funcs += [i] * len(x)
-        xs.append(x)
-        ws.append(w)
-    if funcs:
-        values, _ = evaluate_functions(space, funcs, np.concatenate(xs))
-        np.add.at(out, funcs, np.concatenate(ws) * values)
+    cut = np.flatnonzero(T[d + 1 : d + 1 + space.dimension] > cutoff)
+    out[cut] = 0.0
+    if len(cut):
+        q = (d + 2) // 2  # exact through degree 2q-1 >= d
+        spans = np.minimum(T[cut[:, None] + np.arange(d + 2)], cutoff)
+        xs, ws = composite_rule(q, spans)
+        live = ws > 0.0  # a span cut to zero width adds nothing
+        funcs = np.repeat(cut, (d + 1) * q)[live]
+        values, _ = evaluate_functions(space, funcs, xs[live])
+        np.add.at(out, funcs, ws[live] * values)
     return out
 
 

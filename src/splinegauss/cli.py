@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -255,6 +256,12 @@ def cmd_assemble(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Parser that raises its errors, so that ``main`` reports them as JSON
     instead of printing usage; subcommand parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in any float() form (-1e6, -inf) is an argument,
+        # not a flag as argparse's own pattern has it; no option looks so
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.I)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

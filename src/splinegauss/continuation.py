@@ -201,13 +201,11 @@ def _in_domain(
     nodes: np.ndarray, weights: np.ndarray, interval: tuple[float, float]
 ) -> bool:
     a, b = interval
-    if nodes[0] < a or nodes[-1] > b:
-        return False
-    if np.any(np.diff(nodes) < 0.0):
-        return False
-    if np.any(weights < 0.0) or np.any(weights > (b - a)):
-        return False
-    return True
+    # each test is False on NaN, so a non-finite entry leaves the domain
+    return bool(
+        nodes[0] >= a and nodes[-1] <= b and (nodes[1:] >= nodes[:-1]).all()
+        and weights.min() >= 0.0 and weights.max() <= b - a
+    )
 
 
 def _newton(

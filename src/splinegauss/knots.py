@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import operator
 
 import numpy as np
 
@@ -53,17 +54,17 @@ class KnotVector:
     mults: tuple[int, ...]
 
     def __init__(self, breaks, mults):
-        breaks = tuple(float(x) for x in breaks)
-        mults = tuple(int(m) for m in mults)
+        breaks = tuple(map(float, breaks))
+        mults = tuple(map(int, mults))
         if len(breaks) != len(mults):
             raise ValueError("breaks and mults must have equal length")
         if len(breaks) < 2:
             raise ValueError("need at least two breakpoints")
         if not all(map(math.isfinite, breaks)):
             raise ValueError("breaks must be finite")
-        if any(b >= c for b, c in zip(breaks, breaks[1:])):
+        if any(map(operator.ge, breaks, breaks[1:])):
             raise ValueError("breaks must be strictly increasing")
-        if any(m < 1 for m in mults):
+        if min(mults) < 1:
             raise ValueError("multiplicities must be positive")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "mults", mults)
@@ -114,7 +115,7 @@ class SplineSpace:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        if any(m > self.degree + 1 for m in self.knots.mults):
+        if max(self.knots.mults) > self.degree + 1:
             raise ValueError(
                 f"multiplicity exceeds degree+1 = {self.degree + 1}: "
                 f"{self.knots.mults}"
@@ -281,16 +282,24 @@ def space_at(path: KnotPath, t: float) -> SplineSpace:
     knots = path.knots_at(t)
     a, b = path.interval
     tol = COINCIDENCE_REL_TOL * (b - a)
-    breaks: list[float] = [float(knots[0])]
-    mults: list[int] = [1]
-    for z in knots[1:].tolist():
-        if z - breaks[-1] <= tol:
-            mults[-1] += 1
-        else:
-            breaks.append(z)
-            mults.append(1)
-    if any(m > path.degree + 1 for m in mults):
+    # a group runs while its knots lie at most tol above its first knot: a
+    # gap above tol ends it, and a group of unequal knots (rare, as coincident
+    # knots move together) is split at its first knot beyond tol until none is
+    gaps = knots[1:] - knots[:-1]
+    starts = np.flatnonzero(np.concatenate(([np.inf], gaps)) > tol)
+    while np.count_nonzero(gaps) >= len(starts):  # unequal knots in a group
+        ends = np.concatenate((starts[1:], [len(knots)]))
+        wide = np.flatnonzero(knots[ends - 1] - knots[starts] > tol)
+        if not len(wide):
+            break
+        splits = [g + np.argmax(knots[g:e] - knots[g] > tol)
+                  for g, e in zip(starts[wide], ends[wide])]
+        starts = np.sort(np.concatenate((starts, splits)))
+    mults = np.concatenate((starts[1:], [len(knots)])) - starts
+    if mults.max() > path.degree + 1:
         raise ValueError(
             f"knot collapse produced multiplicity above degree+1 at t={t}"
         )
-    return SplineSpace(path.degree, KnotVector(breaks, mults))
+    return SplineSpace(
+        path.degree, KnotVector(knots[starts].tolist(), mults.tolist())
+    )

@@ -3,11 +3,14 @@
 These deliberately avoid the package's own algorithms: basis values come
 from confluent divided differences of truncated powers, Gauss nodes from
 the Jacobi-matrix eigenvalue method, and integrals from heavy per-span
-Gauss quadrature of the evaluated functions.
+Gauss quadrature of the evaluated functions.  The one exception is the
+classic scalar basis recurrence in Python floats, the reference for the
+bits of the package's batched kernel.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -73,3 +76,44 @@ def heavy_gauss_integral(f, a: float, b: float, spans=None, q: int = 64):
         mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
         total += half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
     return total
+
+
+def classic_basis_row(expanded_knots, degree: int, u: float):
+    """``(first, values, derivatives)`` at ``u`` by the classic one-point
+    recurrence in Python floats: the span search, *The NURBS Book* A2.2
+    ``BasisFuns`` and the derivative quotient of the degree ``d - 1``
+    values, each operation written out in the order of the scalar
+    algorithm.
+
+    The span is the last ``k`` with ``T[k] <= u``, clamped to the nonempty
+    spans of the supported region ``[T[d], T[n]]``, so the right end takes
+    the left limit.
+    """
+    T = [float(x) for x in expanded_knots]
+    d, u = degree, float(u)
+    lo, hi = T[d], T[len(T) - d - 1]
+    first = bisect.bisect_right(T, lo) - 1
+    last = bisect.bisect_left(T, hi) - 1
+    k = min(max(bisect.bisect_right(T, u) - 1, first), last)
+    left = [0.0] * (d + 1)
+    right = [0.0] * (d + 1)
+    N = [1.0] + [0.0] * d
+    below = N[:1]
+    for j in range(1, d + 1):
+        left[j] = u - T[k + 1 - j]
+        right[j] = T[k + j] - u
+        below = N[:j]
+        saved = 0.0
+        for r in range(j):
+            temp = N[r] / (right[r + 1] + left[j - r])
+            N[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        N[j] = saved
+    if d == 0:
+        return k, N, [0.0]
+    # d * (B[r-1] / (T[k+r] - T[k-d+r]) - B[r] / (T[k+r+1] - T[k-d+r+1]))
+    # with the degree d-1 values B, a missing B counting as 0.0
+    quot = [below[r] / (T[k + 1 + r] - T[k - d + 1 + r]) for r in range(d)]
+    padded = [0.0] + quot + [0.0]
+    derivs = [d * (padded[r] - padded[r + 1]) for r in range(d + 1)]
+    return k - d, N, derivs

@@ -22,7 +22,7 @@ from splinegauss.basis import (
     integrals_up_to,
 )
 
-from oracles import bspline_value, heavy_gauss_integral
+from oracles import bspline_value, classic_basis_row, heavy_gauss_integral
 
 SPACES = {
     "source-septic": SplineSpace(7, KnotVector([0.0, 0.5, 1.0], [8, 8, 8])),
@@ -103,6 +103,48 @@ def test_evaluate_many_rows_equal_scalar_evaluate(name):
         assert one[0][0] == first[p]
         assert one[1][0].tobytes() == values[p].tobytes()
         assert one[2][0].tobytes() == derivatives[p].tobytes()
+
+
+def edge_points(space):
+    """Both ends of the supported region, the points one fuzz outside them
+    (the farthest the kernel accepts) and the ulps next to each end."""
+    T, d = space.expanded, space.degree
+    lo, hi = float(T[d]), float(T[len(T) - d - 1])
+    fuzz = 1e-12 * max(1.0, hi - lo) + 8 * np.spacing(max(abs(lo), abs(hi)))
+    ends = [lo, hi, lo - fuzz, hi + fuzz]
+    return ends + [np.nextafter(x, s) for x in (lo, hi) for s in (-np.inf, np.inf)]
+
+
+# every degree 0..9, open (its first interior break of multiplicity d) and
+# not open (all knots simple)
+CLASSIC_SPACES = {
+    f"d{d}-{kind}": SplineSpace(d, KnotVector(breaks, mults))
+    for d in range(10)
+    for kind, breaks, mults in (
+        ("open", [0.0, 0.3, 0.7, 1.0], [d + 1, max(d, 1), 1, d + 1]),
+        ("not-open", np.arange(2 * d + 4) * 0.25 - 0.5, [1] * (2 * d + 4)),
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES) + list(CLASSIC_SPACES))
+def test_evaluate_many_rows_equal_the_classic_recurrence(name):
+    space = {**SPACES, **CLASSIC_SPACES}[name]
+    T, d = space.expanded, space.degree
+    lo, hi = float(T[d]), float(T[len(T) - d - 1])
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([
+        rng.uniform(lo, hi, 40),
+        [b for b in space.knots.breaks if lo <= b <= hi],
+        edge_points(space),
+    ])
+    first, values, derivatives = evaluate_many(space, xs)
+    assert values.flags.c_contiguous and derivatives.flags.c_contiguous
+    for p, u in enumerate(xs):
+        k, want_values, want_derivatives = classic_basis_row(T, d, u)
+        assert first[p] == k
+        assert values[p].tobytes() == np.array(want_values).tobytes(), u
+        assert derivatives[p].tobytes() == np.array(want_derivatives).tobytes(), u
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])

@@ -190,7 +190,27 @@ class TestRuleCommand:
         assert (json.loads(err)["error"] if err else None) == kind
 
     # end points that are not finite, rejected before any arithmetic
-    NON_FINITE = {"nan-start": ["nan", "1"], "infinite-end": ["0", "inf"]}
+    NON_FINITE = {
+        "nan-start": ["nan", "1"],
+        "infinite-end": ["0", "inf"],
+        "negative-infinite-start": ["-inf", "0"],
+    }
+
+    # negative end points in exponent form and the plain form of each
+    EXPONENT_FORMS = {
+        "exponent": (["-1e6", "-999990"], ["-1000000", "-999990"]),
+        "signed-exponent": (["-1E+6", "-9.9999e5"], ["-1000000", "-999990"]),
+        "fraction-exponent": (["-.5e1", "0"], ["-5", "0"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXPONENT_FORMS))
+    def test_exponent_form_interval_equals_the_plain_form(self, capsys, case):
+        runs = [
+            run(capsys, ["rule", "-d", "5", "-c", "1", "-N", "4", "--interval", *ends])
+            for ends in self.EXPONENT_FORMS[case]
+        ]
+        assert runs[0] == runs[1]
+        assert "invalid-option" not in runs[0][2]
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE))
     def test_non_finite_interval_exits_2_with_json_error(self, capsys, case):
@@ -533,6 +553,26 @@ class TestAssembleCommand:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "invalid-spec"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(TestRuleCommand.EXPONENT_FORMS))
+    def test_exponent_form_interval_equals_the_plain_form(
+        self, capsys, tmp_path, case
+    ):
+        outputs = []
+        for form, ends in zip(("exp", "plain"), TestRuleCommand.EXPONENT_FORMS[case]):
+            prefix = tmp_path / form
+            result = run(
+                capsys,
+                ["assemble", "-p", "2", "-k", "1", "-l", "1", "-N", "11",
+                 "--interval", *ends, "--out-prefix", str(prefix)],
+            )
+            files = sorted(
+                (path.name[len(form):], path.read_bytes())
+                for path in tmp_path.glob(f"{form}_*")
+            )
+            outputs.append((result, files))
+        assert outputs[0] == outputs[1]
+        assert "invalid-option" not in outputs[0][0][2]
 
     def test_parity_violation_exits_2_without_writing(self, capsys, tmp_path):
         prefix = tmp_path / "demo"

@@ -202,6 +202,18 @@ class TestNewtonCorrect:
             newton_correct(self.src, guess)
         assert err.value.cause == "left-domain"
 
+    @pytest.mark.parametrize("entry", ["node", "weight"])
+    def test_nan_guess_is_out_of_the_domain(self, entry):
+        space = uniform_space(5, 1, 4)
+        rule = trace(space).rule
+        values = {"node": rule.nodes.copy(), "weight": rule.weights.copy()}
+        values[entry][3] = np.nan
+        guess = QuadratureRule(rule.interval, values["node"], values["weight"])
+        # the suite turns numpy warnings into errors, so none is emitted
+        with pytest.raises(NewtonFailure) as err:
+            newton_correct(space, guess)
+        assert err.value.cause == "left-domain"
+
     def test_each_evaluation_of_the_system_evaluates_the_basis_once(
         self, monkeypatch
     ):
@@ -353,6 +365,21 @@ class TestTrace:
         defects = residual(space, res.rule)
         assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
         assert continuation._valid_final(res.rule)
+
+    def test_a_nan_step_is_a_corrector_failure(self, monkeypatch):
+        solve = continuation._solve_banded
+        calls = []
+
+        def nan_once(*args):
+            calls.append(None)
+            z = solve(*args)
+            return np.full_like(z, np.nan) if len(calls) == 3 else z
+
+        monkeypatch.setattr(continuation, "_solve_banded", nan_once)
+        res = trace(uniform_space(5, 1, 4))
+        assert len(calls) > 3
+        assert res.converged
+        assert res.newton_failures >= 1
 
     def test_a_rule_the_final_check_rejects_stalls(self, monkeypatch):
         monkeypatch.setattr(continuation, "_valid_final", lambda rule: False)

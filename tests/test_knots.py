@@ -219,3 +219,59 @@ class TestSpaceAt:
         )
         with pytest.raises(ValueError, match="multiplicity"):
             space_at(path, 0.5)
+
+    @staticmethod
+    def grouped_knot_by_knot(knots, tol):
+        """Reference grouping: each knot joins the current group while it
+        lies at most ``tol`` above the group's first knot."""
+        breaks, mults = [float(knots[0])], [1]
+        for z in knots[1:].tolist():
+            if z - breaks[-1] <= tol:
+                mults[-1] += 1
+            else:
+                breaks.append(z)
+                mults.append(1)
+        return breaks, mults
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_groups_are_measured_from_their_first_knot(self, seed):
+        from splinegauss import KnotPath
+
+        # chains of knots up to 0.9 tol apart, so that a chain outgrows tol
+        # and splits, mixed with exact repeats and ordinary gaps
+        tol = 1e-12 * 10.0
+        rng = np.random.default_rng(seed)
+        steps = rng.choice([0.0, 0.3, 0.6, 0.9, 1e10], size=60) * tol
+        knots = np.concatenate([[0.0] * 4, 0.05 + np.cumsum(steps), [10.0] * 4])
+        path = KnotPath(
+            degree=59,
+            source_knots=knots,
+            target_knots=knots.copy(),
+            extra=0,
+            external_position=10.0,
+        )
+        sp = space_at(path, 0.0)
+        assert path.interval == (0.0, 10.0)
+        breaks, mults = self.grouped_knot_by_knot(knots, tol)
+        assert sp.knots.breaks == tuple(breaks)
+        assert sp.knots.mults == tuple(mults)
+        # some group starts within tol of the knot before it
+        starts = np.cumsum([0] + mults[:-1])
+        assert np.any(knots[starts[1:]] - knots[starts[1:] - 1] <= tol)
+
+    def test_a_chain_longer_than_the_tolerance_splits(self):
+        from splinegauss import KnotPath
+
+        eps = 0.6e-12  # tol is 1e-12 on [0, 1]
+        knots = np.array([0.0, 0.0, 0.3, 0.3 + eps, 0.3 + 2 * eps,
+                          0.3 + 3 * eps, 0.5, 1.0, 1.0])
+        path = KnotPath(
+            degree=1,
+            source_knots=knots,
+            target_knots=knots.copy(),
+            extra=0,
+            external_position=1.0,
+        )
+        sp = space_at(path, 0.0)
+        assert sp.knots.breaks == (0.0, 0.3, 0.3 + 2 * eps, 0.5, 1.0)
+        assert sp.knots.mults == (2, 2, 2, 1, 2)
