@@ -2,12 +2,13 @@
 
 The rule (nodes and weights) is a root of the square exactness system
 ``F(x, t) = 0`` demanding that every basis function of the time-``t``
-spline space is integrated exactly over ``[a, b]``.  A secant predictor
-and a damped Newton corrector, which factors the banded Jacobian of the
-interleaved unknowns, advance the root as the knots travel; when
-the source carries surplus basis functions, the trailing nodes drift to
-``b`` with vanishing weights and a reduced solve on the exact target
-space finishes the job.  A root before ``t = 1`` only seeds the next
+spline space is integrated exactly over ``[a, b]``.  A predictor through
+the last three roots (two on a retry and near ``t = 1``) and a damped
+Newton corrector, which factors the banded Jacobian of the interleaved
+unknowns, advance the root as the knots travel; when the source carries
+surplus basis functions, the trailing nodes drift to ``b`` with vanishing
+weights and a reduced solve on the exact target space finishes the job,
+also after a step underflow.  A root before ``t = 1`` only seeds the next
 step, so its corrector stops at the path accuracy ``_PATH_TOL * (b - a)``;
 the step that reaches ``t = 1`` and the reduced solve stop at rounding.
 All of it runs on the breakpoints minus ``a``, over ``[0, b - a]``, so the
@@ -307,8 +308,8 @@ def trace(target: SplineSpace) -> TraceResult:
     Builds the source space and its per-element Gauss rule, moves the
     knots along the geodesic path with adaptive steps, and finishes with
     the reduced limit solve when the source had surplus dimensions.
-    Stalls (step underflow before reaching the end) are reported through
-    ``status``, never raised.
+    Stalls (a step underflow without surplus, a failed limit solve or
+    final check) are reported through ``status``, never raised.
     """
     origin, knots = target.interval[0], target.knots
     breaks = np.subtract(knots.breaks, origin)
@@ -322,9 +323,9 @@ def trace(target: SplineSpace) -> TraceResult:
     rounding = _rounding_bound((a, b))
     path_bound = max(_PATH_TOL * (b - a), rounding)
 
-    # the state: the root x = (nodes, weights) at t and the one before it
-    t = t_prev = 0.0
-    x = x_prev = np.concatenate([start.nodes, start.weights])
+    # the state: the root x = (nodes, weights) at t and up to two before it
+    t, x = 0.0, np.concatenate([start.nodes, start.weights])
+    before: list[tuple[float, np.ndarray]] = []
     steps = failures = 0
 
     def result(rule: QuadratureRule, stalled_at: float | None = None) -> TraceResult:
@@ -352,7 +353,7 @@ def trace(target: SplineSpace) -> TraceResult:
         return TraceResult(replace(rule, meta=meta))
 
     def finish() -> TraceResult:
-        """Every end of the path but a mid-path stall: drop any surplus."""
+        """Every end but a step underflow without surplus: drop any surplus."""
         nonlocal failures
         rule = QuadratureRule((a, b), x[:m], x[m:])
         try:
@@ -375,12 +376,17 @@ def trace(target: SplineSpace) -> TraceResult:
             t_next = max(1.0 - 0.1 * (1.0 - t), t + 0.5 * _TAIL_GAP)
         else:
             t_next = t + dt
-        # secant predictor, clipped into the node/weight box
-        if t == t_prev:
-            guess = np.array(x)
-        else:
-            slope = (x - x_prev) / (t - t_prev)
-            guess = x + slope * (t_next - t)
+        # predictor: the quadratic through the last three roots (Newton's
+        # form), the secant on a retry and near t = 1, clipped into the box
+        guess = np.array(x)
+        if before:
+            t1, x1 = before[0]
+            slope = (x - x1) / (t - t1)
+            if len(before) == 2 and t + dt < 1.0 - _TAIL_GAP:
+                t2, x2 = before[1]
+                curve = (slope - (x1 - x2) / (t1 - t2)) / (t - t2)
+                slope += curve * (t_next - t1)
+            guess += slope * (t_next - t)
         guess[:m] = np.clip(guess[:m], a, b)
         guess[m:] = np.clip(guess[m:], 0.0, b - a)
         sys = _System(space_at(path, t_next), cutoff=b)
@@ -390,10 +396,15 @@ def trace(target: SplineSpace) -> TraceResult:
         except NewtonFailure:
             failures += 1
             dt *= _SHRINK
+            del before[1:]  # the retry takes the secant
             if dt < _MIN_STEP:
+                # a surplus path may already sit at its degenerate limit
+                if r:
+                    return finish()
                 return result(QuadratureRule((a, b), x[:m], x[m:]), t)
             continue
-        t_prev, x_prev, t, x = t, x, t_next, x_next
+        before = [(t, x), *before[:1]]
+        t, x = t_next, x_next
         steps += 1
         if iters <= 4:
             dt = min(dt * _GROW, _MAX_STEP)

@@ -83,10 +83,10 @@ def composite_rule(q: int, breaks) -> tuple[np.ndarray, np.ndarray]:
     """The ``q``-point Gauss rule mapped onto each span of ``breaks``.
 
     Returns nodes and weights span by span, so the nodes ascend when the
-    breaks do; the rows of a 2-D ``breaks`` are partitions, taken in order.
+    breaks do.
     """
     breaks = np.asarray(breaks, dtype=float)
     elem = legendre_rule(q)
-    xl, xr = breaks[..., :-1, None], breaks[..., 1:, None]
+    xl, xr = breaks[:-1, None], breaks[1:, None]
     mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
     return (mid + half * elem.nodes).ravel(), (half * elem.weights).ravel()

@@ -120,6 +120,9 @@ class SplineSpace:
                 f"multiplicity exceeds degree+1 = {self.degree + 1}: "
                 f"{self.knots.mults}"
             )
+        n, T = self.dimension, self.expanded  # the basis sums to one on [T[d], T[n]]
+        if n < 1 or T[self.degree] >= T[n]:
+            raise ValueError(f"no interval is supported: knots {T.tolist()}")
 
     @property
     def dimension(self) -> int:

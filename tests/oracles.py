@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -117,3 +118,43 @@ def classic_basis_row(expanded_knots, degree: int, u: float):
     padded = [0.0] + quot + [0.0]
     derivs = [d * (padded[r] - padded[r + 1]) for r in range(d + 1)]
     return k - d, N, derivs
+
+
+def cut_integral_mp(expanded_knots, degree: int, i: int, cutoff: float) -> float:
+    """Integral of B-spline ``i`` up to ``cutoff`` to 40 digits.
+
+    The Cox-de Boor recursion in ``mpmath`` on the function's ``degree + 2``
+    knots, integrated span by span, each span cut at ``cutoff``, with the
+    Gauss-Legendre rule of ``mpmath`` exact through the degree.
+    """
+    with mpmath.workdps(40):
+        T = [mpmath.mpf(float(u)) for u in expanded_knots[i : i + degree + 2]]
+        nodes, weights = mpmath.mp.gauss_quadrature(degree // 2 + 1, "legendre")
+        total = mpmath.mpf(0)
+        for xl, xr in zip(T, T[1:]):
+            xr = min(xr, mpmath.mpf(float(cutoff)))
+            if xr <= xl:
+                continue
+            mid, half = (xl + xr) / 2, (xr - xl) / 2
+            total += half * sum(
+                w * _cox_de_boor(T, degree, mid + half * x)
+                for x, w in zip(nodes, weights)
+            )
+        return float(total)
+
+
+def _cox_de_boor(T, degree: int, x):
+    """B-spline on the knots ``T`` (``degree + 2`` of them) at ``x``, by
+    the Cox-de Boor recursion; a term over a zero knot difference is 0."""
+
+    def term(num, den, value):
+        return num / den * value if den else 0
+
+    B = [1 if T[j] <= x < T[j + 1] else 0 for j in range(degree + 1)]
+    for p in range(1, degree + 1):
+        B = [
+            term(x - T[j], T[j + p] - T[j], B[j])
+            + term(T[j + p + 1] - x, T[j + p + 1] - T[j + 1], B[j + 1])
+            for j in range(degree + 1 - p)
+        ]
+    return B[0]

@@ -10,9 +10,17 @@ Two generators of target spaces that stress the corrector:
   interior multiplicities 1..d, the paper's non-uniform multiplicities.
   Seed ``s`` uses ``default_rng(s)``; draws of odd dimension are skipped.
 
-``python tests/sweeps.py`` (with ``src`` on ``PYTHONPATH``) traces both
-sweeps and prints stalls, corrector failures, steps, basis evaluations and
-``finalize_limit`` calls, for comparing two versions of the tracker.
+- ``uniform_reach``: every uniform space of odd degree d <= 21, continuity
+  c < d and N = 5..41 elements that has an even dimension, 3,289 spaces;
+  the reach of the tracker at high degree.  It takes a few minutes, so no
+  test runs it.
+
+``python tests/sweeps.py`` (with ``src`` on ``PYTHONPATH``) traces the
+three sweeps and prints stalls (each with the cause of the limit solve's
+refusal, None where none was refused), corrector failures, steps, basis
+evaluations and ``finalize_limit`` calls, for comparing two versions of
+the tracker; then it lists the odd pairs (d, c) with d <= 21 that have no
+asymptotic pattern.
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ import numpy as np
 
 from splinegauss import (
     KnotVector,
+    NewtonFailure,
     ParityError,
     SplineSpace,
+    asymptotic_rule,
     basis,
     continuation,
     source_space,
@@ -35,6 +45,7 @@ from splinegauss import (
 
 FAR_DRAWS = 140
 MULTIPLICITY_MESHES = 120
+MAX_DEGREE = 21
 
 
 def far_intervals(draws: int = FAR_DRAWS) -> Iterator[tuple[int, SplineSpace]]:
@@ -77,21 +88,58 @@ def multiplicity_meshes(
         s += 1
 
 
+def uniform_reach(
+    max_degree: int = MAX_DEGREE, elements: range = range(5, 42)
+) -> Iterator[tuple[tuple[int, int, int], SplineSpace]]:
+    """``((d, c, N), space)`` for every odd d <= ``max_degree``, c < d and N
+    in ``elements`` whose uniform space has an even dimension."""
+    for d in range(1, max_degree + 1, 2):
+        for c in range(d):
+            for n in elements:
+                space = uniform_space(d, c, n)
+                if space.dimension % 2 == 0:
+                    yield (d, c, n), space
+
+
+def missing_patterns(max_degree: int = MAX_DEGREE) -> list:
+    """``((d, c), message)`` for each odd pair with d <= ``max_degree`` and
+    c < d whose asymptotic pattern fails to solve."""
+    missing = []
+    for d in range(1, max_degree + 1, 2):
+        for c in range(d):
+            try:
+                asymptotic_rule(d, c)
+            except ValueError as exc:
+                missing.append(((d, c), str(exc)))
+    return missing
+
+
 def sweep(cases) -> dict:
-    """Trace every ``(key, space)``: the stalled keys and the totals of
-    corrector failures, steps, basis evaluations and limit solves."""
-    stalled, failures, steps = [], 0, 0
+    """Trace every ``(key, space)``: the stalled keys, each paired with the
+    cause of its last refused limit solve (None if none was refused), and
+    the totals of corrector failures, steps, basis evaluations and limit
+    solves."""
+    stalled, failures, steps, refused = [], 0, 0, []
+    finalize_limit = continuation.finalize_limit
+
+    def limit(target, rule):
+        try:
+            return finalize_limit(target, rule)
+        except NewtonFailure as exc:
+            refused.append(exc.cause)
+            raise
+
     with (
         mock.patch.object(basis, "evaluate_many", wraps=basis.evaluate_many)
         as evaluations,
-        mock.patch.object(
-            continuation, "finalize_limit", wraps=continuation.finalize_limit
-        ) as limits,
+        mock.patch.object(continuation, "finalize_limit", side_effect=limit)
+        as limits,
     ):
         for key, space in cases:
+            refused.clear()
             res = trace(space)
             if not res.converged:
-                stalled.append(key)
+                stalled.append((key, refused[-1] if refused else None))
             failures += res.newton_failures
             steps += res.steps_taken
     return {
@@ -107,6 +155,8 @@ if __name__ == "__main__":
     for name, cases in (
         ("far intervals", far_intervals()),
         ("multiplicity meshes", multiplicity_meshes()),
+        ("uniform reach", uniform_reach()),
     ):
         cases = list(cases)
-        print(f"{name} ({len(cases)} spaces): {sweep(cases)}")
+        print(f"{name} ({len(cases)} spaces): {sweep(cases)}", flush=True)
+    print(f"pairs without a pattern: {missing_patterns()}")

@@ -164,7 +164,10 @@ class TestSolver:
                 assert wa == pytest.approx(wb, abs=1e-13)
 
     @pytest.mark.parametrize(
-        "pair", [(15, 0), (21, 4), (17, 0), (19, 0), (19, 1), (21, 0), (21, 2)]
+        "pair",
+        [(15, 0), (21, 4), (17, 0), (19, 0), (19, 1), (21, 0), (21, 2)]
+        # their seed traces end in the limit solve after a step underflow
+        + [(19, 13), (21, 5), (21, 6), (21, 19)],
     )
     def test_solves_within_the_one_pair_of_caps(self, pair):
         # the caps of every solver: 25 iterations and 10 halvings

@@ -10,7 +10,6 @@ from splinegauss import (
     SplineSpace,
     eval_spline,
     knot_path,
-    legendre_rule,
     source_space,
     space_at,
     uniform_space,
@@ -22,7 +21,12 @@ from splinegauss.basis import (
     integrals_up_to,
 )
 
-from oracles import bspline_value, classic_basis_row, heavy_gauss_integral
+from oracles import (
+    bspline_value,
+    classic_basis_row,
+    cut_integral_mp,
+    heavy_gauss_integral,
+)
 
 SPACES = {
     "source-septic": SplineSpace(7, KnotVector([0.0, 0.5, 1.0], [8, 8, 8])),
@@ -287,6 +291,11 @@ class TestIntegral:
         gap = integrals_up_to(space, b) - integrals_up_to(space, end)
         assert np.abs(gap).max() <= b - end
 
+    def test_cutoff_below_the_supported_region_is_rejected(self):
+        space = SPACES["septic-c1"]
+        with pytest.raises(ValueError, match="below the supported region"):
+            integrals_up_to(space, space.interval[0] - 0.5)
+
     def test_integrals_up_to_against_oracle(self):
         space = SPACES["mixed-mults"]
         cutoff = 0.55
@@ -303,39 +312,34 @@ class TestIntegral:
             )
             assert got[i] == pytest.approx(ref, abs=1e-14)
 
-    @pytest.mark.parametrize("target", [(7, 1, 6), (5, 0, 5)])
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ((7, 1, 6), (0.3, 0.8, 1.0), (1.0, 0.37)),
+            ((5, 0, 5), (0.3, 0.8, 1.0), (1.0, 0.37)),
+            # a composite Gauss rule of the cut spans missed by up to 94 ulp
+            ((7, 1, 30), (0.025,), (1.0,)),
+        ],
+    )
     def test_integrals_up_to_equals_a_per_function_span_loop(self, target):
-        # reference: each straddling function sums its Gauss points span by
-        # span, in ascending order, one term at a time; same bits required
-        def span_loop(space, cutoff):
-            d = space.degree
-            T = space.expanded
-            g = legendre_rule((d + 2) // 2)
-            out = integrals(space)
-            for i in range(space.dimension):
-                if T[i + d + 1] <= cutoff:
-                    continue
-                out[i] = 0.0
-                spans = np.unique(T[i : i + d + 2])
-                for xl, xr in zip(spans, spans[1:]):
-                    xr = min(float(xr), cutoff)
-                    if xr <= xl:
-                        break
-                    mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
-                    xs = mid + half * g.nodes
-                    values, _ = evaluate_functions(space, [i] * len(xs), xs)
-                    for w, v in zip(half * g.weights, values):
-                        out[i] += w * v
-            return out
-
-        space = uniform_space(*target)
+        # reference: each function integrated span by span, every span cut
+        # at the cutoff, in 40-digit arithmetic; a cut support is within a
+        # few ulp of its full integral, an uncut one is the closed form
+        key, times, fractions = target
+        space = uniform_space(*key)
         path = knot_path(source_space(space), space)
         b = space.interval[1]
-        for t in (0.3, 0.8, 1.0):
+        for t in times:
             moved = space_at(path, t)
-            for cutoff in (b, 0.37 * b):
+            T, d = moved.expanded, moved.degree
+            full = integrals(moved)
+            for cutoff in (f * b for f in fractions):
                 got = integrals_up_to(moved, cutoff)
-                assert np.array_equal(got, span_loop(moved, cutoff))
+                cut = T[d + 1 : d + 1 + moved.dimension] > cutoff
+                assert np.array_equal(got[~cut], full[~cut])
+                for i in np.flatnonzero(cut):
+                    ref = cut_integral_mp(T, d, i, cutoff)
+                    assert abs(got[i] - ref) <= 4 * np.spacing(full[i])
 
     def test_integrals_matches_per_index(self):
         space = SPACES["septic-c1"]

@@ -122,6 +122,10 @@ class TestRuleCommand:
         "infinite-break": (
             json.dumps({**GOOD_KNOTS, "breaks": [0.0, 1.0, float("inf")]}), []
         ),
+        "no-supported-interval": (
+            json.dumps({"degree": 1, "breaks": [0.0, 1.0, 2.0], "mults": [1, 2, 1]}),
+            [],
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_KNOTS))

@@ -26,6 +26,17 @@ entries), and the report's mass and stiffness differences went from
 6.9e-16 and 7.4e-16 to 5.8e-16 and 8.6e-16.
 The document writers that changed with it (one encoder call per number
 list, one basis evaluation per ``validate``) kept every byte.
+
+Every value but ``asymptotic`` was re-recorded again when the integrals of
+the supports cut at ``b`` became exact and the corrector's predictor
+began to extrapolate the last three roots.  ``rule`` moved by at most
+2 ulp in 7 of its 42 values, still in 23 steps.  ``hybrid`` moved by at
+most 2 ulp in 7 of 506.  ``asymptotic-solve`` moved by at most 3 ulp in
+its 3 weights; its nodes kept their bits.
+The ``residual_norm`` of ``validate`` went from 2.7501e-17 to 2.7349e-17.
+The ``assemble`` matrices moved by at most 2.3e-16 of their largest
+entry (73 of the mass and 99 of the stiffness entries), and the report's
+stiffness difference went from 8.6e-16 to 7.4e-16.
 """
 
 import hashlib
@@ -48,22 +59,22 @@ COMMANDS = {
 }
 
 SHA256 = {
-    "rule": "4efbfb1195ed7b9436d97f09729960f7a9e9b65ebd60240999be90f1512d9ee7",
-    "rule-csv": "45305d162a5e2883f992d7700f1e99e99fd817d545b47195145fb36684f8e4aa",
+    "rule": "08fd0c7e3b9476b768f38c34950239f22cb05d5561c4a620b4c43ce5b1ab28f6",
+    "rule-csv": "9e6e556731da46a30f601288e4286c2136a73dadc2099d133f31738350d9606c",
     "asymptotic": "07f1ac1d08501cfd096f5437ffab8c54fb811f6888ae105fa75773c39a48d80b",
     "asymptotic-solve": (
-        "c218f1a9ba18af744d6ab257a4baf5514f7784b29b162f82ce650474f23c2057"
+        "0d1c87a8a0837970dfdee5177400499cb9f31f918c9488e79a4ad2073b68af15"
     ),
-    "hybrid": "4e8d07e915a2693ac47ecf6718ae2ea5da508a7799857571646d78eee34b6338",
-    "validate": "e36060453c531ed4ed4ab0d7d9d5e677e6c67a1c8591d36ee5af4610f9c24587",
-    "assemble": "ce3084ba15b06c109db5c86674c56b921f5b86589dc6b2795ccd2c562244d8d9",
-    "run_mass.csv": "793b830eec909aeedf3ce932e3a3ed632c4921c13d374f7a0eaeb61ef78ff495",
+    "hybrid": "2417503552c0f80426f655243d895d34b98c4524931a476c393e93be8a4eae66",
+    "validate": "ad0c696bc0e64a46eccb300a7eeea56fc497644d6cc891cf290ba229f5aed89d",
+    "assemble": "7b11f333f8528e86b0bf957afe6e4e69221e4969d7e20fb6b42793ece3dee9a2",
+    "run_mass.csv": "7ee95ead5684194a71176bcd0fd9ae67317931452dcb6f52cf2f70343c0eccff",
     "run_stiffness.csv": (
-        "516124bae666847fc1e89e0ff25112b4a9fed80017c6d0d74380c3c89851193b"
+        "738ca43fe2c5b048f116f14c63976e2c89a0b987b0620e06a458d3d9733b1942"
     ),
-    "run_mass.txt": "64f68817bd410ff6ec97d62d16e22514ffdc6daf7809fc54cad913ac94d3c3d9",
+    "run_mass.txt": "ae37d538828db5154c713a288871011bf7dac43f82c752bcd64851be2dda7149",
     "run_stiffness.txt": (
-        "e3c412176c7e4be9837d57e6ce926fd7d8f1ede192dad9aad9a2c6a44f3ded1d"
+        "ea3d81dc1c0e9574b63c1a2f062bd72d390aeb6f5366c07cbb77b8a48baaa9a4"
     ),
 }
 

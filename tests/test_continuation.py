@@ -390,17 +390,58 @@ class TestTrace:
         assert res.rule.residual_norm == plain.residual_norm
 
     def test_late_failures_are_reported_as_a_stall(self, monkeypatch):
+        # the corrector keeps failing close to t = 1 on this space until the
+        # step size underflows, and the limit solve refuses the state as not
+        # degenerate: a stall, with the surplus kept
+        causes = []
+
+        def spy(target, rule):
+            try:
+                return finalize_limit(target, rule)
+            except NewtonFailure as exc:
+                causes.append(exc.cause)
+                raise
+
+        monkeypatch.setattr(continuation, "finalize_limit", spy)
+        target = uniform_space(21, 9, 28)
+        res = trace(target)
+        assert causes == ["not-degenerate"]
+        assert res.status == "stalled" and res.newton_failures > 0
+        assert 0.999 < res.t_reached < 1.0
+        assert 2 * res.rule.num_nodes == source_space(target).dimension
+        assert res.rule.residual_norm is None
+
+    def test_late_failures_on_a_degenerate_state_end_in_the_limit_solve(
+        self, monkeypatch
+    ):
         # with every corrector solve taken to rounding (no path accuracy),
         # the corrector keeps failing close to t = 1 on this clustered mesh,
-        # so the step size underflows: a stall, with the surplus kept
+        # so the step size underflows; the trailing nodes already sit at b,
+        # and the limit solve gives a rule that passes the final check
         monkeypatch.setattr(continuation, "_PATH_TOL", 0.0)
         calls = self.spy_finalize(monkeypatch)
         res = trace(CLUSTERED)
-        assert calls == []
-        assert res.status == "stalled" and res.newton_failures > 0
-        assert 0.999 < res.t_reached < 1.0
-        assert 2 * res.rule.num_nodes == source_space(CLUSTERED).dimension
-        assert res.rule.residual_norm is None
+        assert calls == [CLUSTERED.dimension]
+        assert res.converged and res.newton_failures > 0
+        a, b = CLUSTERED.interval
+        defects = residual(CLUSTERED, res.rule)
+        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
+        assert continuation._valid_final(res.rule)
+
+    @pytest.mark.parametrize(
+        "key",
+        [(13, 9, 17), (15, 3, 15), (17, 1, 21), (19, 2, 7), (21, 0, 21), (21, 7, 9)],
+    )
+    def test_high_degree_surplus_paths_converge(self, key):
+        # near t = 1 the corrector's trials can leave the node/weight box
+        # until the step underflows, with the trailing nodes and weights already
+        # at their limit: the limit solve then finishes the rule
+        target = uniform_space(*key)
+        res = trace(target)
+        assert res.converged
+        a, b = target.interval
+        defects = residual(target, res.rule)
+        assert np.abs(defects).max() <= EXACT * max(abs(a), abs(b))
 
     def test_path_accuracy_traces_the_clustered_mesh_to_the_limit(
         self, monkeypatch

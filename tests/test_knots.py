@@ -81,6 +81,19 @@ class TestDimension:
         with pytest.raises(ValueError, match="multiplicity exceeds"):
             SplineSpace(3, KnotVector([0.0, 1.0], [5, 4]))
 
+    @pytest.mark.parametrize(
+        "degree, breaks, mults",
+        [
+            (1, [0.0, 1.0, 2.0], [1, 2, 1]),  # T[d] == T[n] == 1
+            (2, [0.0, 1.0], [2, 2]),  # one function, T[d] > T[n]
+            (3, [0.0, 1.0], [1, 1]),  # dimension -2
+        ],
+    )
+    def test_space_without_a_supported_interval(self, degree, breaks, mults):
+        # the basis sums to one on no interval, so no point can be evaluated
+        with pytest.raises(ValueError, match="no interval is supported"):
+            SplineSpace(degree, KnotVector(breaks, mults))
+
 
 class TestSourceSpace:
     def test_septic_two_elements(self):
@@ -238,11 +251,12 @@ class TestSpaceAt:
         from splinegauss import KnotPath
 
         # chains of knots up to 0.9 tol apart, so that a chain outgrows tol
-        # and splits, mixed with exact repeats and ordinary gaps
+        # and splits, mixed with exact repeats and ordinary gaps; open ends
+        # give the degree a supported interval
         tol = 1e-12 * 10.0
         rng = np.random.default_rng(seed)
         steps = rng.choice([0.0, 0.3, 0.6, 0.9, 1e10], size=60) * tol
-        knots = np.concatenate([[0.0] * 4, 0.05 + np.cumsum(steps), [10.0] * 4])
+        knots = np.concatenate([[0.0] * 60, 0.05 + np.cumsum(steps), [10.0] * 60])
         path = KnotPath(
             degree=59,
             source_knots=knots,
